@@ -1,9 +1,9 @@
 """Worst-case certificates for coherent gate errors.
 
-Exact diamond distance for a unitary error via the spectral convex hull, the
-fidelity-only conversion bound, the (r, u) unitarity-assisted bound, the
-(F, D) moment-assisted bound through the certified overlap c(F, D), and the
-hybrid minimum of the two.
+Exact diamond distance for a unitary error from the largest gap between its
+eigenphases, the fidelity-only conversion bound, the (r, u)
+unitarity-assisted bound, the (F, D) moment-assisted bound through the
+certified overlap c(F, D), and the hybrid minimum of the two.
 
 c(F, D) lower-bounds the smallest minimum-overlap m(X) among unitaries X
 whose spectral invariants (P, Q) match the observed (F, D). Every compatible
@@ -96,9 +96,23 @@ def min_overlap_exact(x: UnitaryOperator) -> float:
 
 
 def diamond_exact(x: UnitaryOperator) -> float:
-    """Exact diamond distance of a unitary error: sqrt(1 - m^2)."""
-    m = min_overlap_exact(x)
-    return math.sqrt(max(1.0 - m * m, 0.0))
+    """Exact diamond distance of a unitary error from its eigenphases.
+
+    With G the largest gap between the sorted phases on the circle, the
+    spectrum covers an arc of 2 pi - G, and the distance is sin((2 pi - G)/2),
+    or 1 when G <= pi (the origin then lies in the spectrum's convex hull).
+    This equals sqrt(1 - m^2) with m = max(0, -cos(G/2)), without its
+    cancellation.
+    """
+    th = np.sort(np.angle(eigenvalues_unitary(x)))
+    # the arc is th[-1] - th[0] when the largest gap wraps through pi, so no
+    # rounding of 2 pi enters the small arcs of a near-identity error
+    arc = float(th[-1] - th[0])
+    if th.size > 1:
+        gap = float(np.diff(th).max())
+        if gap > 2 * math.pi - arc:
+            arc = 2 * math.pi - gap
+    return math.sin(arc / 2) if arc < math.pi else 1.0
 
 
 def bound_fidelity_only(r: float, d: int, clamp: bool = True) -> float:

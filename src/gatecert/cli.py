@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .certify import certificate_bundle
 from .estimate import certify_from_estimates, run_protocol
-from .gates import build_model_error, model_dimension
+from .gates import build_model_error, model_dimension, model_errors
 from .linalg import EigensolverError
 from .moments import fd_from_unitary, pq_from_fd
 from .verify import run_verification
@@ -66,35 +66,37 @@ def _grid(lo: float, hi: float, steps: int, log: bool) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
+def _sweep_row(model: str, n: int, param: float, s, bundle) -> str:
+    """One CSV row in SWEEP_COLUMNS order."""
+    return ",".join(
+        [
+            model,
+            str(n),
+            _fmt(param),
+            _fmt(s.F),
+            _fmt(s.D),
+            _fmt(s.r),
+            _fmt(bundle.d_exact),
+            _fmt(bundle.b_fidelity_only),
+            _fmt(bundle.b_ru),
+            _fmt(bundle.b_fd),
+            _fmt(bundle.b_hybrid),
+            str(int(bundle.flags)),
+            _fmt(bundle.b_fidelity_only_raw),
+            _fmt(bundle.b_ru_raw),
+        ]
+    )
+
+
 def cmd_sweep(args) -> int:
     n = _qubits(args.model, args.n)
-    grid = _grid(args.min, args.max, args.steps, args.log_grid)
+    params = [float(p) for p in _grid(args.min, args.max, args.steps, args.log_grid)]
     d = model_dimension(args.model, n)
     lines = [SWEEP_COLUMNS]
-    for param in grid:
-        x = build_model_error(args.model, float(param), n)
+    for param, x in zip(params, model_errors(args.model, params, n)):
         s = fd_from_unitary(x)
         bundle = certificate_bundle(d, s.F, s.D, u=args.unitarity, x=x)
-        lines.append(
-            ",".join(
-                [
-                    args.model,
-                    str(n),
-                    _fmt(param),
-                    _fmt(s.F),
-                    _fmt(s.D),
-                    _fmt(s.r),
-                    _fmt(bundle.d_exact),
-                    _fmt(bundle.b_fidelity_only),
-                    _fmt(bundle.b_ru),
-                    _fmt(bundle.b_fd),
-                    _fmt(bundle.b_hybrid),
-                    str(int(bundle.flags)),
-                    _fmt(bundle.b_fidelity_only_raw),
-                    _fmt(bundle.b_ru_raw),
-                ]
-            )
-        )
+        lines.append(_sweep_row(args.model, n, param, s, bundle))
     _write_lines(args.out, lines)
     return 0
 
@@ -144,26 +146,7 @@ def cmd_moments(args) -> int:
     bundle = certificate_bundle(d, s.F, s.D, u=args.unitarity, x=x)
     if args.csv:
         print(SWEEP_COLUMNS)
-        print(
-            ",".join(
-                [
-                    args.model,
-                    str(n),
-                    _fmt(args.param),
-                    _fmt(s.F),
-                    _fmt(s.D),
-                    _fmt(s.r),
-                    _fmt(bundle.d_exact),
-                    _fmt(bundle.b_fidelity_only),
-                    _fmt(bundle.b_ru),
-                    _fmt(bundle.b_fd),
-                    _fmt(bundle.b_hybrid),
-                    str(int(bundle.flags)),
-                    _fmt(bundle.b_fidelity_only_raw),
-                    _fmt(bundle.b_ru_raw),
-                ]
-            )
-        )
+        print(_sweep_row(args.model, n, args.param, s, bundle))
         return 0
     rows = [
         ("model", args.model),

@@ -184,17 +184,30 @@ def error_unitary(ideal: UnitaryOperator, implemented: UnitaryOperator) -> Unita
     return UnitaryOperator(adjoint(ideal.matrix) @ implemented.matrix)
 
 
-def build_model_error(model: str, param: float, n: int | None = None) -> UnitaryOperator:
-    """Effective error unitary for one of the named benchmark models."""
+def model_errors(model: str, params, n: int | None = None):
+    """Yield the effective error unitary of a named benchmark model at each
+    parameter in turn. The ideal circuit is built and validated once, before
+    the first step, and is freed with the generator."""
     if model == "cz":
-        return build_cz_error(param)
+        for param in params:
+            yield build_cz_error(param)
+        return
     if model == "toffoli":
-        return error_unitary(*build_toffoli_pair(param))
-    if model == "qft":
+        circ = toffoli_circuit()
+    elif model == "qft":
         if n is None:
             raise ValueError("the qft model requires a qubit count")
-        return error_unitary(*build_qft_pair(n, param))
-    raise ValueError(f"unknown model {model!r}")
+        circ = qft_circuit(n)
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    ideal = UnitaryOperator(circuit_unitary(circ))
+    for param in params:
+        yield error_unitary(ideal, UnitaryOperator(circuit_unitary(circ, param)))
+
+
+def build_model_error(model: str, param: float, n: int | None = None) -> UnitaryOperator:
+    """Effective error unitary for one of the named benchmark models."""
+    return next(model_errors(model, (param,), n))
 
 
 def model_dimension(model: str, n: int | None = None) -> int:

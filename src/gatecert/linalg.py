@@ -12,6 +12,12 @@ import numpy as np
 UNITARITY_TOL = 1e-10
 _DET_TOL = 1e-8
 _DET_CHECK_MAX_DIM = 16
+_TRACE_BLOCK_ROWS = 64
+# the Hermitian eigenphase route needs cos(phase) > 0 for every phase of the
+# turned matrix; it asks for cos(phase) > 1/16, because arcsin amplifies the
+# eigvalsh error by 1/cos(phase): at d = 256 and cos = 1e-6 the phases are
+# off by 4e-10, at 1/16 by about 2e-14, within an order of eigvals' 4e-15
+_HERMITIAN_MIN_COS = 1.0 / 16.0
 
 
 class UnitarityError(ValueError):
@@ -96,8 +102,15 @@ def _trace_ld(a: np.ndarray) -> np.clongdouble:
 
 
 def _trace_of_square_ld(a: np.ndarray) -> np.clongdouble:
-    al = a.astype(np.clongdouble)
-    return np.sum(al * al.T)
+    # the product buffer is filled in row blocks, so no full extended-precision
+    # copy of `a` is held beside it; its entries and the summation over it are
+    # those of np.sum(al * al.T), bit for bit
+    d = a.shape[0]
+    prod = np.empty((d, d), dtype=np.clongdouble)
+    for i in range(0, d, _TRACE_BLOCK_ROWS):
+        j = i + _TRACE_BLOCK_ROWS
+        np.multiply(a[i:j].astype(np.clongdouble), a[:, i:j].T, out=prod[i:j])
+    return np.sum(prod)
 
 
 def kron(a, b) -> np.ndarray:
@@ -144,11 +157,48 @@ def embed_gate(gate, targets, n: int) -> np.ndarray:
     return left_apply_gate(np.eye(1 << n, dtype=np.complex128), gate, targets, n)
 
 
+def _turned_phases(m: np.ndarray):
+    """(c, phases) of a unitary m from one Hermitian eigensolve, or None.
+
+    m is turned by the phase c of its trace, Y = e^{-ic} m. Y is normal, so
+    its Hermitian part (Y + Y^dag)/2 has the eigenvalues cos(phase). When a
+    Cholesky test shows them all above _HERMITIAN_MIN_COS, every phase lies
+    in (-pi/2, pi/2) and is the arcsine of an eigenvalue of the skew part
+    (Y - Y^dag)/2i. Both parts are built in one buffer.
+    """
+    d = m.shape[0]
+    centre = float(np.angle(np.trace(m)))
+    y = m * np.exp(-1j * centre)
+    buf = np.empty_like(y)
+    np.conjugate(y.T, out=buf)
+    buf += y
+    buf.flat[:: d + 1] -= 2.0 * _HERMITIAN_MIN_COS
+    try:
+        np.linalg.cholesky(buf)
+    except np.linalg.LinAlgError:
+        return None
+    np.conjugate(y.T, out=buf)
+    np.subtract(y, buf, out=buf)
+    buf *= -0.5j
+    s = np.linalg.eigvalsh(buf)
+    return centre, np.arcsin(np.clip(s, -1.0, 1.0))
+
+
 def eigenvalues_unitary(u: UnitaryOperator) -> np.ndarray:
-    """All d eigenvalues of a unitary, validated to sit on the unit circle."""
+    """All d eigenvalues of a unitary, validated to sit on the unit circle.
+
+    A spectrum whose phases all lie within arccos(_HERMITIAN_MIN_COS) of the
+    trace's phase c comes from one Hermitian eigensolve as e^{i (c + phase)};
+    any other goes through the general eigensolver.
+    """
     d = u.dim
     try:
-        lam = np.linalg.eigvals(u.matrix)
+        turned = _turned_phases(u.matrix)
+        if turned is None:
+            lam = np.linalg.eigvals(u.matrix)
+        else:
+            centre, phases = turned
+            lam = np.exp(1j * (centre + phases))
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
     circle_resid = float(np.abs(np.abs(lam) - 1.0).max())

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -59,6 +60,29 @@ def test_diamond_exact_examples():
     for delta in (0.01, 0.1, 0.5):
         x = UnitaryOperator(np.diag([np.exp(-1j * delta), np.exp(1j * delta)]))
         assert diamond_exact(x) == pytest.approx(abs(math.sin(delta)), abs=1e-12)
+
+
+def _mpmath_diamond(x):
+    """Diamond distance from the eigenphases of x.matrix, found by mpmath."""
+    with mpmath.workdps(40):
+        lam = mpmath.eig(mpmath.matrix(x.matrix.tolist()), left=False, right=False)
+        th = sorted(mpmath.arg(v) for v in lam)
+        gap = max([b - a for a, b in zip(th, th[1:])] + [th[0] + 2 * mpmath.pi - th[-1]])
+        return float(mpmath.sin((2 * mpmath.pi - gap) / 2)) if gap > mpmath.pi else 1.0
+
+
+def test_diamond_exact_high_fidelity_references():
+    # clustered spectra down to 1e-7: the hull route lost vertices here and
+    # read Toffoli at 1e-7 as 2.99e-7 against 4.54e-7
+    grid = np.geomspace(1e-7, 1.0, 15)
+    for phi in grid:
+        assert diamond_exact(build_cz_error(phi)) == pytest.approx(
+            abs(math.sin(phi / 2)), rel=1e-9
+        )
+    for model, n in (("toffoli", None), ("qft", 3)):
+        for param in grid:
+            x = build_model_error(model, float(param), n)
+            assert diamond_exact(x) == pytest.approx(_mpmath_diamond(x), rel=1e-9)
 
 
 def test_bound_fidelity_only_values():

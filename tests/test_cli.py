@@ -169,6 +169,15 @@ def test_moments_csv_row(capsys):
     assert float(row["b_fd"]) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_moments_csv_row_equals_sweep_row(tmp_path, capsys):
+    out = tmp_path / "tof.csv"
+    args = "sweep --model toffoli --min 0.01 --max 0.2 --steps 2 --out".split()
+    assert main(args + [str(out)]) == 0
+    sweep_lines = out.read_text().splitlines()
+    assert main(["moments", "--model", "toffoli", "--param", "0.2", "--csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == [sweep_lines[0], sweep_lines[2]]
+
+
 def test_verify_quick_exit_code():
     assert main(["verify"]) == 0
 

@@ -8,6 +8,7 @@ from gatecert import (
     GateSpec,
     UnitaryOperator,
     build_cz_error,
+    build_model_error,
     build_qft_pair,
     build_toffoli_pair,
     circuit_unitary,
@@ -208,3 +209,12 @@ def test_circuit_unitary_matches_embedding_product():
     for spec in circ.gates:
         u = embed_gate(ideal_gate(spec), spec.targets, 3) @ u
     assert np.abs(circuit_unitary(circ) - u).max() < 1e-12
+
+
+@pytest.mark.parametrize("model,n", [("toffoli", None), ("qft", 3), ("qft", 5)])
+def test_model_errors_match_single_builds_bitwise(model, n):
+    from gatecert.gates import model_errors
+
+    params = [0.0, 1e-7, 3e-4, 0.05, 0.3]
+    for param, x in zip(params, model_errors(model, params, n)):
+        assert np.array_equal(x.matrix, build_model_error(model, param, n).matrix)

@@ -182,6 +182,63 @@ def test_eigenvalues_postconditions():
         assert abs(abs(np.prod(lam)) - 1.0) < 1e-6
 
 
+def _by_angle(lam):
+    return lam[np.argsort(np.angle(lam))]
+
+
+def test_eigenvalues_hermitian_route_matches_general_solver(monkeypatch):
+    # near-identity spectra take the one-eigvalsh route; the general solver
+    # is disabled while it runs, so a silent fallback fails the test
+    rng = np.random.default_rng(11)
+    cases = []
+    for d in (4, 16, 64, 256):
+        for scale in (1e-6, 1e-2, 0.5):
+            herm = random_matrix(rng, d)
+            vals, vecs = np.linalg.eigh((herm + herm.conj().T) / 2)
+            vals *= scale / np.abs(vals).max()
+            u = UnitaryOperator((vecs * np.exp(1j * (0.3 + vals))) @ vecs.conj().T)
+            cases.append((u, np.linalg.eigvals(u.matrix)))
+
+    def general_solver_called(_):
+        raise AssertionError("near-identity spectrum fell back to eigvals")
+
+    monkeypatch.setattr(np.linalg, "eigvals", general_solver_called)
+    for u, expected in cases:
+        lam = eigenvalues_unitary(u)
+        assert np.abs(_by_angle(lam) - _by_angle(expected)).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["trace-zero", "minus-one-after-turning", "haar-64", "phases-near-half-circle"],
+)
+def test_eigenvalues_fallback_is_general_solver(case):
+    rng = np.random.default_rng(12)
+    if case == "trace-zero":
+        m = np.diag([1, 1j, -1, -1j])
+    elif case == "minus-one-after-turning":
+        m = np.diag([1, 1, 1, -1])
+    elif case == "haar-64":
+        m = haar_random_unitary(64, rng)
+    else:
+        # every phase lies in the open half circle, but arcsin would amplify
+        # the eigvalsh error by 1/cos(phase) = 1e6 at the edge
+        edge = math.pi / 2 - 1e-6
+        v = haar_random_unitary(16, rng)
+        m = (v * np.exp(1j * np.array([edge, -edge] * 8))) @ v.conj().T
+    u = UnitaryOperator(m)
+    assert np.array_equal(eigenvalues_unitary(u), np.linalg.eigvals(u.matrix))
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 33, 1024])
+def test_blocked_trace_of_square_is_bit_identical(d):
+    from gatecert.linalg import _trace_of_square_ld
+
+    a = random_matrix(np.random.default_rng(d), d)
+    al = a.astype(np.clongdouble)
+    assert _trace_of_square_ld(a) == np.sum(al * al.T)
+
+
 def test_exp_involutory_examples():
     assert np.allclose(exp_involutory(SZ, 0.0), np.eye(2))
     assert np.allclose(exp_involutory(SZ, math.pi / 2), np.diag([-1j, 1j]))
