@@ -1,8 +1,8 @@
 """Worst-case certificates for coherent gate errors.
 
-Exact diamond distance for a unitary error from the largest gap between its
-eigenphases, the fidelity-only conversion bound, the (r, u)
-unitarity-assisted bound, the (F, D) moment-assisted bound through the
+Exact diamond distance and minimum overlap of a unitary error from the
+largest gap between its eigenphases, the fidelity-only conversion bound, the
+(r, u) unitarity-assisted bound, the (F, D) moment-assisted bound through the
 certified overlap c(F, D), and the hybrid minimum of the two.
 
 c(F, D) lower-bounds the smallest minimum-overlap m(X) among unitaries X
@@ -19,14 +19,17 @@ the exact optimum. When a > 1 no conjugate-pair spectrum matches the data
 (the relaxation alone is strictly loose there, e.g. on the CZ-like family
 with a repeated eigenvalue); the extremal spectra then concentrate on at
 most three support angles, and _pinned_max_span solves that case: closed
-form on the two-point families, a bracketed root search for genuinely
-three-point optima, falling back to the always-valid relaxation root for
-dimensions beyond the search cap. Everything runs in extended precision
-since the radicand cancels to fourth order in the error angle near the
-identity. Unlike the plain relaxation, the exact boundary-corrected
-certificate is not globally monotone in D at fixed F: crossing the
-attainability seam can raise it slightly (verified against direct
-constrained optimization).
+form on the two-point families, and otherwise a root search over every
+multiplicity split of three support angles, batched in three stages (a
+float64 bracket scan per split, an extended-precision sub-scan of the
+marked intervals in chunks, one bisection of all brackets together).
+Beyond the search cap of d = 64 it falls back to the always-valid
+relaxation root.
+Everything runs in extended precision since the radicand cancels to fourth
+order in the error angle near the identity. Unlike the plain relaxation, the
+exact boundary-corrected certificate is not globally monotone in D at fixed
+F: crossing the attainability seam can raise it slightly (verified against
+direct constrained optimization).
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from enum import IntFlag
 
 import numpy as np
 
-from .geometry import convex_hull, distance_origin_to_hull
+# not called here: bench/run.py traces the hull routines under these names
+from .geometry import convex_hull, distance_origin_to_hull  # noqa: F401
 from .linalg import UnitaryOperator, eigenvalues_unitary
 from .moments import _pq_from_fd_ld
 
@@ -59,6 +63,9 @@ _PINNED_GRID = 4096
 # configurations, where the search residual is tangential and root positions
 # are numerically meaningless; the two-point closed form covers those exactly
 _ENDPOINT_TOL = 5e-4
+# intervals per extended-precision sub-scan call: one call over every
+# interval raised peak RSS by 1 MB at d = 24
+_SUBSCAN_CHUNK = 32
 
 
 class CertFlags(IntFlag):
@@ -88,22 +95,9 @@ class CertificateBundle:
     flags: CertFlags
 
 
-def min_overlap_exact(x: UnitaryOperator) -> float:
-    """Distance from the origin to the convex hull of the spectrum."""
-    lam = eigenvalues_unitary(x)
-    hull = convex_hull(np.column_stack([lam.real, lam.imag]))
-    return min(distance_origin_to_hull(hull), 1.0)
-
-
-def diamond_exact(x: UnitaryOperator) -> float:
-    """Exact diamond distance of a unitary error from its eigenphases.
-
-    With G the largest gap between the sorted phases on the circle, the
-    spectrum covers an arc of 2 pi - G, and the distance is sin((2 pi - G)/2),
-    or 1 when G <= pi (the origin then lies in the spectrum's convex hull).
-    This equals sqrt(1 - m^2) with m = max(0, -cos(G/2)), without its
-    cancellation.
-    """
+def _eigenphase_arc(x: UnitaryOperator) -> float:
+    """Length 2 pi - G of the shortest arc holding the spectrum of x, where G
+    is the largest gap between its sorted eigenphases on the circle."""
     th = np.sort(np.angle(eigenvalues_unitary(x)))
     # the arc is th[-1] - th[0] when the largest gap wraps through pi, so no
     # rounding of 2 pi enters the small arcs of a near-identity error
@@ -112,6 +106,26 @@ def diamond_exact(x: UnitaryOperator) -> float:
         gap = float(np.diff(th).max())
         if gap > 2 * math.pi - arc:
             arc = 2 * math.pi - gap
+    return arc
+
+
+def min_overlap_exact(x: UnitaryOperator) -> float:
+    """Distance from the origin to the convex hull of the spectrum,
+    m = max(0, -cos(G/2)) with G the largest eigenphase gap, evaluated as
+    max(0, cos((2 pi - G)/2))."""
+    return max(0.0, math.cos(_eigenphase_arc(x) / 2))
+
+
+def diamond_exact(x: UnitaryOperator) -> float:
+    """Exact diamond distance of a unitary error from its eigenphases.
+
+    With G the largest gap between the sorted phases on the circle, the
+    spectrum covers an arc of 2 pi - G, and the distance is sin((2 pi - G)/2),
+    or 1 when G <= pi (the origin then lies in the spectrum's convex hull).
+    This equals sqrt(1 - m^2) with m = min_overlap_exact(x), without its
+    cancellation.
+    """
+    arc = _eigenphase_arc(x)
     return math.sin(arc / 2) if arc < math.pi else 1.0
 
 
@@ -165,11 +179,49 @@ def _two_point_span(P, Q, d: int, family_rtol: float):
     return best
 
 
+def _pinned_resid(g, p, q, r, sgn, P, Q):
+    """Residual |tr X^2 + (tr X)^2| - Q, in extended precision, of the
+    spectrum with q atoms at 0, p at g and r at h, where h is the sgn branch
+    of the angle that makes |tr X| = P. Returns (residual, h), both NaN where
+    no such h exists. g is longdouble; p, q, r and sgn broadcast against it."""
+    a = q + p * np.exp(1j * g.astype(_CLD))
+    aa = np.abs(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cd = (P * P - aa * aa - r * r) / (2 * r * aa)
+        ok = (aa > 1e-12) & (cd >= -1) & (cd <= 1)
+        h = np.where(ok, np.angle(a) + sgn * np.arccos(cd), np.nan)
+    t1 = a + r * np.exp(1j * h.astype(_CLD))
+    w = q + p * np.exp(2j * g.astype(_CLD)) + r * np.exp(2j * h.astype(_CLD)) + t1 * t1
+    return np.abs(w) - Q, h
+
+
 def _pinned_max_span(P, Q, d: int, family_rtol: float):
     """Maximal angular spread over spectra with at most three support angles
     {0, h, g} matching the invariants (the extremal structure when the
     relaxation's equality case is unattainable; cross-validated against
-    direct constrained optimization at d = 4 and 8)."""
+    direct constrained optimization at d = 4 and 8 in the tests).
+
+    Along the curve where the first invariant holds, the angle h of the r
+    atoms is closed-form in the angle g of the p atoms, so each multiplicity
+    split (p, q, r) and branch of h leaves one equation in g. It is solved in
+    three batched stages:
+
+    1. coarse grid: per (p, q), a float64 grid of g in (0, pi] marks every
+       interval where the second-invariant residual changes sign or comes
+       within 1e-12 of zero;
+    2. sub-scan: the marked intervals are re-scanned on 33 points in
+       extended precision, _SUBSCAN_CHUNK intervals per residual call, and
+       adjacent valid points whose residuals have product <= 0 form
+       brackets;
+    3. bisection: all brackets are bisected together for 90 steps; one that
+       meets an invalid midpoint is dropped. Only roots driven to the
+       extended-precision noise floor count, which drops the tangential
+       valleys surrounding two-point data at double precision, as do roots
+       whose atoms lie within _ENDPOINT_TOL of each other.
+
+    The span max(0, h, g) - min(0, h, g) of the best root is returned, or
+    None when no root survives.
+    """
     P = _LD(P)
     Q = _LD(Q)
     two_point = _two_point_span(P, Q, d, family_rtol)
@@ -177,23 +229,14 @@ def _pinned_max_span(P, Q, d: int, family_rtol: float):
         # data sits on a two-point family at its own resolution; finer
         # structure is unresolvable and the family gap is exact
         return two_point
-    best = None
 
-    def consider(span):
-        nonlocal best
-        if best is None or span > best:
-            best = span
-
-    # along the curve where the first invariant holds, the interior atom's
-    # angle h is closed-form in the gap g; bracket sign changes of the second
-    # invariant on a coarse grid, then re-scan and bisect each bracket in
-    # extended precision. Only roots driven to the extended-precision noise
-    # floor count, which drops the tangential valleys surrounding two-point
-    # data at double precision.
     grid = np.linspace(1e-9, np.pi, _PINNED_GRID)
     eg = np.exp(1j * grid)
     eg2 = eg * eg
-    resid_floor = 1e-16 * (1 + float(Q))
+    sgns = np.array([[1.0], [-1.0]])
+    near_tol = 1e-12 * (1 + float(Q))
+    start = []  # left grid index of each marked interval
+    split = []  # its (p, q, r, sgn)
     for p in range(1, d - 1):
         for q in range(1, d - p):
             r = d - p - q
@@ -201,63 +244,61 @@ def _pinned_max_span(P, Q, d: int, family_rtol: float):
             aA = np.abs(A)
             cos_gap = (float(P * P) - aA * aA - r * r) / (2.0 * r * aA)
             in_domain = (np.abs(cos_gap) <= 1.0) & (aA > 1e-12)
-            for sgn in (1.0, -1.0):
+            both = in_domain[:-1] & in_domain[1:]
+            if not both.any():
+                continue
+            # the residual on the domain only, for both branches of h at once
+            k = np.flatnonzero(in_domain)
+            h = np.angle(A[k]) + sgns * np.arccos(cos_gap[k])
+            t1 = A[k] + r * np.exp(1j * h)
+            w = q + p * eg2[k] + r * np.exp(2j * h) + t1 * t1
+            resid = np.full((2, _PINNED_GRID), np.nan)
+            resid[:, k] = np.abs(w) - float(Q)
+            near = np.abs(resid) <= near_tol
+            change = resid[:, :-1] * resid[:, 1:] <= 0
+            hit = both & (change | near[:, :-1] | near[:, 1:])
+            for sgn, row in zip((1.0, -1.0), hit):
+                idx = np.flatnonzero(row)
+                start.extend(idx)
+                split.extend([(p, q, r, sgn)] * idx.size)
+    if not start:
+        return None
+    i = np.array(start)
+    # small integers, exact in float64, so the residual's arithmetic is
+    # that of Python ints
+    p, q, r, sgn = np.array(split).T[:, :, None]
 
-                def resid_ld(g):
-                    Ag = q + p * np.exp(1j * _CLD(g))
-                    aAg = np.abs(Ag)
-                    if aAg <= 1e-12:
-                        return None, None
-                    cd = (P * P - aAg * aAg - r * r) / (2 * r * aAg)
-                    if not -1 <= cd <= 1:
-                        return None, None
-                    hg = np.angle(Ag) + _LD(sgn) * np.arccos(cd)
-                    t1g = Ag + r * np.exp(1j * _CLD(hg))
-                    wg = q + p * np.exp(2j * _CLD(g)) + r * np.exp(2j * _CLD(hg)) + t1g * t1g
-                    return np.abs(wg) - Q, hg
+    sub = np.linspace(grid[i], grid[i + 1], 33, axis=1)
+    f = np.empty(sub.shape, dtype=_LD)
+    for j in range(0, len(sub), _SUBSCAN_CHUNK):
+        c = slice(j, j + _SUBSCAN_CHUNK)
+        f[c], _ = _pinned_resid(sub[c].astype(_LD), p[c], q[c], r[c], sgn[c], P, Q)
+    row, col = np.nonzero(f[:, :-1] * f[:, 1:] <= 0)
+    lo = sub[row, col].astype(_LD)
+    hi = sub[row, col + 1].astype(_LD)
+    flo = f[row, col]
+    p, q, r, sgn = p[row, 0], q[row, 0], r[row, 0], sgn[row, 0]
 
-                def refine(lo, hi, flo):
-                    for _ in range(90):
-                        mid = (lo + hi) / 2
-                        fm, _ = resid_ld(mid)
-                        if fm is None:
-                            return
-                        if flo * fm <= 0:
-                            hi = mid
-                        else:
-                            lo, flo = mid, fm
-                    groot = (lo + hi) / 2
-                    fr, hroot = resid_ld(groot)
-                    if fr is None or abs(fr) > resid_floor:
-                        return
-                    hf, gf = float(hroot), float(groot)
-                    if min(abs(hf), abs(gf), abs(hf - gf)) < _ENDPOINT_TOL:
-                        return
-                    angles = (0.0, hf, gf)
-                    consider(max(angles) - min(angles))
-
-                with np.errstate(invalid="ignore"):
-                    h = np.angle(A) + sgn * np.arccos(np.clip(cos_gap, -1.0, 1.0))
-                t1 = A + r * np.exp(1j * h)
-                w = q + p * eg2 + r * np.exp(2j * h) + t1 * t1
-                resid = np.abs(w) - float(Q)
-                near = np.abs(resid) <= 1e-12 * (1 + float(Q))
-                for i in range(_PINNED_GRID - 1):
-                    if not (in_domain[i] and in_domain[i + 1]):
-                        continue
-                    if resid[i] * resid[i + 1] > 0 and not (near[i] or near[i + 1]):
-                        continue
-                    sub = np.linspace(grid[i], grid[i + 1], 33)
-                    prev_g = prev_f = None
-                    for gsub in sub:
-                        fsub, _ = resid_ld(_LD(gsub))
-                        if fsub is None:
-                            prev_g = prev_f = None
-                            continue
-                        if prev_f is not None and prev_f * fsub <= 0:
-                            refine(prev_g, _LD(gsub), prev_f)
-                        prev_g, prev_f = _LD(gsub), fsub
-    return best
+    alive = np.ones(lo.shape, dtype=bool)
+    for _step in range(90):
+        mid = (lo + hi) / 2
+        fm, _ = _pinned_resid(mid, p, q, r, sgn, P, Q)
+        alive &= ~np.isnan(fm)
+        left = flo * fm <= 0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fm)
+    groot = (lo + hi) / 2
+    fr, hroot = _pinned_resid(groot, p, q, r, sgn, P, Q)
+    hf = hroot.astype(np.float64)
+    gf = groot.astype(np.float64)
+    closest = np.minimum(np.minimum(np.abs(hf), np.abs(gf)), np.abs(hf - gf))
+    keep = alive & (np.abs(fr) <= 1e-16 * (1 + float(Q))) & (closest >= _ENDPOINT_TOL)
+    if not keep.any():
+        return None
+    hf, gf = hf[keep], gf[keep]
+    span = np.maximum(np.maximum(hf, gf), 0.0) - np.minimum(np.minimum(hf, gf), 0.0)
+    return float(span.max())
 
 
 def _certified_overlap_ld(F: float, D: float, d: int, family_rtol: float = _TWO_POINT_RTOL):

@@ -4,6 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from gatecert import (
     CertFlags,
@@ -21,6 +22,16 @@ from gatecert import (
     min_overlap_exact,
     tightness_witness,
 )
+from gatecert.certify import (
+    _CLD,
+    _ENDPOINT_TOL,
+    _LD,
+    _PINNED_GRID,
+    _TWO_POINT_RTOL,
+    _pinned_max_span,
+    _two_point_span,
+)
+from gatecert.moments import _pq_from_fd_ld
 
 CZ_GRID = (0.01, 0.05, 0.1, 0.3, 0.7, 1.2)
 
@@ -62,18 +73,19 @@ def test_diamond_exact_examples():
         assert diamond_exact(x) == pytest.approx(abs(math.sin(delta)), abs=1e-12)
 
 
-def _mpmath_diamond(x):
-    """Diamond distance from the eigenphases of x.matrix, found by mpmath."""
+def _mpmath_arc(x):
+    """Arc 2 pi - G covered by the eigenphases of x.matrix, found by mpmath,
+    with G their largest gap on the circle."""
     with mpmath.workdps(40):
         lam = mpmath.eig(mpmath.matrix(x.matrix.tolist()), left=False, right=False)
         th = sorted(mpmath.arg(v) for v in lam)
         gap = max([b - a for a, b in zip(th, th[1:])] + [th[0] + 2 * mpmath.pi - th[-1]])
-        return float(mpmath.sin((2 * mpmath.pi - gap) / 2)) if gap > mpmath.pi else 1.0
+        return 2 * mpmath.pi - gap
 
 
 def test_diamond_exact_high_fidelity_references():
     # clustered spectra down to 1e-7: the hull route lost vertices here and
-    # read Toffoli at 1e-7 as 2.99e-7 against 4.54e-7
+    # read the Toffoli diamond distance at 1e-7 as 2.99e-7 against 4.54e-7
     grid = np.geomspace(1e-7, 1.0, 15)
     for phi in grid:
         assert diamond_exact(build_cz_error(phi)) == pytest.approx(
@@ -82,7 +94,12 @@ def test_diamond_exact_high_fidelity_references():
     for model, n in (("toffoli", None), ("qft", 3)):
         for param in grid:
             x = build_model_error(model, float(param), n)
-            assert diamond_exact(x) == pytest.approx(_mpmath_diamond(x), rel=1e-9)
+            arc = _mpmath_arc(x)
+            ref = float(mpmath.sin(arc / 2)) if arc < mpmath.pi else 1.0
+            assert diamond_exact(x) == pytest.approx(ref, rel=1e-9)
+            assert min_overlap_exact(x) == pytest.approx(
+                max(0.0, float(mpmath.cos(arc / 2))), abs=1e-12
+            )
 
 
 def test_bound_fidelity_only_values():
@@ -274,3 +291,214 @@ def test_radicand_clamp_flag_on_inconsistent_data():
     assert bundle.c_value == 0.0
     assert bundle.b_fd == 1.0
     assert bundle.flags & (CertFlags.P2_CLAMPED | CertFlags.Q2_CLAMPED)
+
+
+def _pinned_max_span_scalar(P, Q, d, family_rtol):
+    """The three-point search as one scalar loop per grid interval, sub-scan
+    point and bisection step: the reference that the batched
+    _pinned_max_span must reproduce bit for bit."""
+    P = _LD(P)
+    Q = _LD(Q)
+    two_point = _two_point_span(P, Q, d, family_rtol)
+    if two_point is not None:
+        return two_point
+    best = None
+
+    def consider(span):
+        nonlocal best
+        if best is None or span > best:
+            best = span
+
+    grid = np.linspace(1e-9, np.pi, _PINNED_GRID)
+    eg = np.exp(1j * grid)
+    eg2 = eg * eg
+    resid_floor = 1e-16 * (1 + float(Q))
+    for p in range(1, d - 1):
+        for q in range(1, d - p):
+            r = d - p - q
+            A = q + p * eg
+            aA = np.abs(A)
+            cos_gap = (float(P * P) - aA * aA - r * r) / (2.0 * r * aA)
+            in_domain = (np.abs(cos_gap) <= 1.0) & (aA > 1e-12)
+            for sgn in (1.0, -1.0):
+
+                def resid_ld(g):
+                    Ag = q + p * np.exp(1j * _CLD(g))
+                    aAg = np.abs(Ag)
+                    if aAg <= 1e-12:
+                        return None, None
+                    cd = (P * P - aAg * aAg - r * r) / (2 * r * aAg)
+                    if not -1 <= cd <= 1:
+                        return None, None
+                    hg = np.angle(Ag) + _LD(sgn) * np.arccos(cd)
+                    t1g = Ag + r * np.exp(1j * _CLD(hg))
+                    wg = q + p * np.exp(2j * _CLD(g)) + r * np.exp(2j * _CLD(hg)) + t1g * t1g
+                    return np.abs(wg) - Q, hg
+
+                def refine(lo, hi, flo):
+                    for _ in range(90):
+                        mid = (lo + hi) / 2
+                        fm, _ = resid_ld(mid)
+                        if fm is None:
+                            return
+                        if flo * fm <= 0:
+                            hi = mid
+                        else:
+                            lo, flo = mid, fm
+                    groot = (lo + hi) / 2
+                    fr, hroot = resid_ld(groot)
+                    if fr is None or abs(fr) > resid_floor:
+                        return
+                    hf, gf = float(hroot), float(groot)
+                    if min(abs(hf), abs(gf), abs(hf - gf)) < _ENDPOINT_TOL:
+                        return
+                    angles = (0.0, hf, gf)
+                    consider(max(angles) - min(angles))
+
+                with np.errstate(invalid="ignore"):
+                    h = np.angle(A) + sgn * np.arccos(np.clip(cos_gap, -1.0, 1.0))
+                t1 = A + r * np.exp(1j * h)
+                w = q + p * eg2 + r * np.exp(2j * h) + t1 * t1
+                resid = np.abs(w) - float(Q)
+                near = np.abs(resid) <= 1e-12 * (1 + float(Q))
+                for i in range(_PINNED_GRID - 1):
+                    if not (in_domain[i] and in_domain[i + 1]):
+                        continue
+                    if resid[i] * resid[i + 1] > 0 and not (near[i] or near[i + 1]):
+                        continue
+                    sub = np.linspace(grid[i], grid[i + 1], 33)
+                    prev_g = prev_f = None
+                    for gsub in sub:
+                        fsub, _ = resid_ld(_LD(gsub))
+                        if fsub is None:
+                            prev_g = prev_f = None
+                            continue
+                        if prev_f is not None and prev_f * fsub <= 0:
+                            refine(prev_g, _LD(gsub), prev_f)
+                        prev_g, prev_f = _LD(gsub), fsub
+    return best
+
+
+def _spectrum_fd(phases):
+    s = fd_from_unitary(UnitaryOperator(np.diag(np.exp(1j * np.asarray(phases)))))
+    return s.F, s.D
+
+
+def _pq(F, D, d):
+    """(P, Q) in extended precision as _certified_overlap_ld derives them."""
+    P2, Q2, _, _ = _pq_from_fd_ld(F, D, d)
+    return np.sqrt(P2), np.sqrt(Q2)
+
+
+def _three_point_spectrum(rng, d):
+    """Bulk at 1 plus two clusters at angles in [-1.2, 1.2] whose relaxation
+    root is positive and needs a bulk cosine of at least 1 + 1e-6, so that
+    c(F, D) comes from the three-point search."""
+    top = max(1, d // 4)
+    while True:
+        n1, n2 = (int(v) for v in rng.integers(1, top + 1, size=2))
+        h, k = rng.uniform(-1.2, 1.2, size=2)
+        if min(abs(h), abs(k), abs(h - k)) < 0.05:
+            continue
+        phases = np.repeat([0.0, h, k], [d - n1 - n2, n1, n2])
+        F, D = _spectrum_fd(phases)
+        P, Q = _pq(F, D, d)
+        rad = (d - 2) * (d * Q + d * d - (d + 2) * P * P)
+        if rad < 0:
+            continue
+        b = P / d - np.sqrt(rad) / (2 * d)
+        if b > 0 and (P - 2 * b) / (d - 2) >= 1 + 1e-6:
+            return phases, F, D
+
+
+def test_pinned_search_matches_scalar_oracle():
+    # batching changes no arithmetic: every span is the oracle's bits
+    for d, count in ((4, 8), (8, 6), (16, 3), (24, 2)):
+        rng = np.random.default_rng([2024, d])
+        for _ in range(count):
+            _, F, D = _three_point_spectrum(rng, d)
+            P, Q = _pq(F, D, d)
+            span = _pinned_max_span(P, Q, d, _TWO_POINT_RTOL)
+            assert span is not None
+            assert span == _pinned_max_span_scalar(P, Q, d, _TWO_POINT_RTOL)
+
+
+def test_pinned_search_two_point_and_no_bracket():
+    for d, gap, p in ((4, 0.7, 1), (8, 1.3, 3), (8, 0.4, 2), (16, 0.4, 5)):
+        F, D = _spectrum_fd(np.repeat([0.0, gap], [d - p, p]))
+        P, Q = _pq(F, D, d)
+        span = _pinned_max_span(P, Q, d, _TWO_POINT_RTOL)
+        assert span == pytest.approx(gap, abs=1e-9)
+        assert span == _pinned_max_span_scalar(P, Q, d, _TWO_POINT_RTOL)
+        if d > 8:
+            continue
+        # just off the family the search runs, through the tangential
+        # valleys around it
+        for rel in (-1e-9, 1e-9):
+            P, Q = _pq(F, D * (1 + rel), d)
+            span = _pinned_max_span(P, Q, d, _TWO_POINT_RTOL)
+            assert span == _pinned_max_span_scalar(P, Q, d, _TWO_POINT_RTOL)
+    # Q = 0 is off every two-point family and the residual |w| - Q never
+    # changes sign: no bracket, no span
+    for d in (4, 8):
+        P = _LD(d - 0.5)
+        assert _pinned_max_span(P, _LD(0), d, _TWO_POINT_RTOL) is None
+        assert _pinned_max_span_scalar(P, _LD(0), d, _TWO_POINT_RTOL) is None
+
+
+def _slsqp_max_span(P, Q, d, starts):
+    """Largest spread theta_1 - theta_0 that multistart SLSQP finds over d
+    free phases with theta_0 = 0 <= theta_i <= theta_1 <= pi (the global phase
+    is free), |tr X| = P and |tr X^2 + (tr X)^2| = Q."""
+
+    def traces(t):
+        e = np.exp(1j * np.concatenate([[0.0], t]))
+        t1 = e.sum()
+        return t1, (e * e).sum() + t1 * t1
+
+    cons = [
+        {"type": "eq", "fun": lambda t: abs(traces(t)[0]) - P},
+        {"type": "eq", "fun": lambda t: abs(traces(t)[1]) - Q},
+        {"type": "ineq", "fun": lambda t: t[0] - t[1:]},
+    ]
+    grad = -np.eye(d - 1)[0]
+    best = None
+    for x0 in starts:
+        res = minimize(
+            lambda t: -t[0], x0, jac=lambda t: grad, method="SLSQP",
+            bounds=[(0.0, math.pi)] * (d - 1), constraints=cons,
+            options={"maxiter": 500, "ftol": 1e-14},
+        )
+        t1, t2 = traces(res.x)
+        feasible = abs(abs(t1) - P) < 1e-9 and abs(abs(t2) - Q) < 1e-9
+        feasible = feasible and np.all(res.x[1:] <= res.x[0] + 1e-12)
+        if res.success and feasible and (best is None or res.x[0] > best):
+            best = float(res.x[0])
+    return best
+
+
+def test_pinned_search_against_constrained_optimization():
+    # the three-point search claims the global optimum over all spectra: a
+    # general optimizer finds the same spread and nothing wider, and the
+    # generating spectrum's exact diamond distance stays below the certificate
+    for d in (4, 8):
+        for seed in range(6):
+            rng = np.random.default_rng([seed, d])
+            phases, F, D = _three_point_spectrum(rng, d)
+            P, Q = _pq(F, D, d)
+            span = _pinned_max_span(P, Q, d, _TWO_POINT_RTOL)
+            # the generating spectrum turned to start at 0 and listed with its
+            # largest phase first, then random spreads
+            t = np.sort(phases - phases.min())
+            starts = [np.concatenate([[t[-1]], t[1:-1]])]
+            for _ in range(3):
+                top = rng.uniform(0.5, 1.5) * span
+                starts.append(np.concatenate([[top], rng.uniform(0, top, d - 2)]))
+            found = _slsqp_max_span(float(P), float(Q), d, starts)
+            assert found is not None
+            assert abs(found - span) <= 1e-6
+
+            th = np.sort(phases)
+            gap = max(np.diff(th).max(), th[0] + 2 * math.pi - th[-1])
+            d_ref = math.sin((2 * math.pi - gap) / 2) if gap > math.pi else 1.0
+            assert bound_fd(F, D, d) >= d_ref - 1e-12
