@@ -301,6 +301,24 @@ def _pinned_max_span(P, Q, d: int, family_rtol: float):
     return float(span.max())
 
 
+def _relaxation_root(P2, Q2, d: int):
+    """(P, Q, radicand, b-, a): the invariants' square roots, the radicand
+    (d-2) (dQ + d^2 - (d+2) P^2), the relaxation root b- and the bulk cosine
+    a = (P - 2 b-)/(d - 2), in extended precision. The radicand is returned
+    as computed, so callers see its sign; b- uses it clamped at 0."""
+    P = np.sqrt(P2)
+    Q = np.sqrt(Q2)
+    dd = _LD(d)
+    radicand = (dd - 2) * (dd * Q + dd * dd - (dd + 2) * P2)
+    b_minus = P / dd - np.sqrt(max(radicand, _LD_ZERO)) / (2 * dd)
+    return P, Q, radicand, b_minus, (P - 2 * b_minus) / (dd - 2)
+
+
+def _bound_from_overlap(c) -> float:
+    """sqrt(1 - c^2), as sqrt((1 - c)(1 + c)) in extended precision."""
+    return float(np.sqrt(np.maximum((_LD_ONE - c) * (_LD_ONE + c), _LD_ZERO)))
+
+
 def _certified_overlap_ld(F: float, D: float, d: int, family_rtol: float = _TWO_POINT_RTOL):
     """Certified overlap in longdouble, plus warning flags."""
     if d < 4:
@@ -313,17 +331,11 @@ def _certified_overlap_ld(F: float, D: float, d: int, family_rtol: float = _TWO_
         flags |= CertFlags.P2_CLAMPED
     if Q2_raw < 0 or Q2_raw > float((d + d * d) ** 2):
         flags |= CertFlags.Q2_CLAMPED
-    P = np.sqrt(P2)
-    Q = np.sqrt(Q2)
-    dd = _LD(d)
-    radicand = (dd - 2) * (dd * Q + dd * dd - (dd + 2) * P2)
+    P, Q, radicand, b_minus, bulk_cos = _relaxation_root(P2, Q2, d)
     if radicand < 0:
         flags |= CertFlags.C_RADICAND_CLAMPED
-        radicand = _LD_ZERO
-    b_minus = P / dd - np.sqrt(radicand) / (2 * dd)
     if b_minus <= 0:
         return _LD_ZERO, flags
-    bulk_cos = (P - 2 * b_minus) / (dd - 2)
     if bulk_cos <= 1 + _BULK_COS_TOL or d > _PINNED_MAX_DIM:
         return np.clip(b_minus, _LD_ZERO, _LD_ONE), flags
     # the relaxation's equality spectrum would need a bulk cosine above 1;
@@ -346,7 +358,7 @@ def certified_overlap(F: float, D: float, d: int) -> float:
 def bound_fd(F: float, D: float, d: int) -> float:
     """Moment-assisted worst-case bound sqrt(1 - c(F, D)^2)."""
     c, _ = _certified_overlap_ld(F, D, d)
-    return float(np.sqrt(np.maximum((_LD_ONE - c) * (_LD_ONE + c), _LD_ZERO)))
+    return _bound_from_overlap(c)
 
 
 def bound_hybrid(b_ru: float | None = None, b_fd: float | None = None) -> float:
@@ -370,14 +382,9 @@ def tightness_witness(F: float, D: float, d: int) -> UnitaryOperator:
     if d % 2:
         raise ValueError("tightness witness requires even d")
     P2, Q2, _, _ = _pq_from_fd_ld(F, D, d)
-    P = np.sqrt(P2)
-    Q = np.sqrt(Q2)
-    dd = _LD(d)
-    radicand = (dd - 2) * (dd * Q + dd * dd - (dd + 2) * P2)
+    _, _, radicand, b, a = _relaxation_root(P2, Q2, d)
     if radicand < 0:
         raise ValueError("inadmissible (F, D): negative certificate radicand")
-    b = P / dd - np.sqrt(radicand) / (2 * dd)
-    a = (P - 2 * b) / (dd - 2)
     for name, val in (("bulk", float(a)), ("extremal", float(b))):
         if not -1 - 1e-12 <= val <= 1 + 1e-12:
             raise ValueError(
@@ -409,7 +416,7 @@ def certificate_bundle(
     r = min(max(1.0 - F, 0.0), 1.0)
     c, flags = _certified_overlap_ld(F, D, d, family_rtol)
     flags |= extra_flags
-    b_fd_val = float(np.sqrt(np.maximum((_LD_ONE - c) * (_LD_ONE + c), _LD_ZERO)))
+    b_fd_val = _bound_from_overlap(c)
 
     bf_raw = bound_fidelity_only(r, d, clamp=False)
     if bf_raw > 1.0:

@@ -42,18 +42,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _qubits(model: str, n: int | None) -> int:
-    if model == "cz":
-        return 2
-    if model == "toffoli":
-        return 3
-    if n is None:
-        raise _UsageError("--n is required for the qft model")
-    if not 2 <= n <= 10:
-        raise _UsageError(f"qft qubit count must be in [2, 10], got {n}")
-    return n
-
-
 def _grid(lo: float, hi: float, steps: int, log: bool) -> np.ndarray:
     if steps < 2:
         raise _UsageError(f"--steps must be at least 2, got {steps}")
@@ -89,9 +77,9 @@ def _sweep_row(model: str, n: int, param: float, s, bundle) -> str:
 
 
 def cmd_sweep(args) -> int:
-    n = _qubits(args.model, args.n)
+    d = model_dimension(args.model, args.n)
+    n = d.bit_length() - 1
     params = [float(p) for p in _grid(args.min, args.max, args.steps, args.log_grid)]
-    d = model_dimension(args.model, n)
     lines = [SWEEP_COLUMNS]
     for param, x in zip(params, model_errors(args.model, params, n)):
         s = fd_from_unitary(x)
@@ -108,8 +96,8 @@ def cmd_estimate(args) -> int:
         raise _UsageError("--repeats must be at least 1")
     if args.seed < 0:
         raise _UsageError("--seed must be nonnegative")
-    n = _qubits(args.model, args.n)
-    d = model_dimension(args.model, n)
+    d = model_dimension(args.model, args.n)
+    n = d.bit_length() - 1
     x = build_model_error(args.model, args.param, n)
     lines = [ESTIMATE_COLUMNS]
     for rep in range(args.repeats):
@@ -138,8 +126,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    n = _qubits(args.model, args.n)
-    d = model_dimension(args.model, n)
+    d = model_dimension(args.model, args.n)
+    n = d.bit_length() - 1
     x = build_model_error(args.model, args.param, n)
     s = fd_from_unitary(x)
     pq = pq_from_fd(s.F, s.D, d)

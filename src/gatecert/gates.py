@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    UnitaryOperator,
-    adjoint,
-    exp_involutory,
-    exp_projector_squared,
-    kron,
-    left_apply_gate,
-)
+from .linalg import UnitaryOperator, exp_involutory, exp_projector_squared, left_apply_gate
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -102,7 +95,7 @@ def overrotated_gate(spec: GateSpec, epsilon: float) -> np.ndarray:
     if spec.kind == "H":
         return exp_involutory(HADAMARD, epsilon / 2.0) @ HADAMARD
     if spec.kind == "CNOT":
-        return exp_projector_squared(kron(PROJ_ONE, SIGMA_X), epsilon) @ CNOT_GATE
+        return exp_projector_squared(np.kron(PROJ_ONE, SIGMA_X), epsilon) @ CNOT_GATE
     if spec.kind == "CP":
         return controlled_phase((1.0 + epsilon) * spec.angle)
     raise ValueError(f"no over-rotation model for gate kind {spec.kind!r}")
@@ -143,8 +136,7 @@ def toffoli_circuit() -> CircuitSpec:
 
 def qft_circuit(n: int) -> CircuitSpec:
     """n-qubit QFT from Hadamards and controlled phases, final swaps omitted."""
-    if not 2 <= n <= 10:
-        raise ValueError(f"qubit count must be in [2, 10], got {n}")
+    model_dimension("qft", n)  # rejects a qubit count outside [2, 10]
     gates = []
     for j in range(1, n + 1):
         gates.append(GateSpec("H", (j,)))
@@ -159,20 +151,6 @@ def build_cz_error(phi_epsilon: float) -> UnitaryOperator:
     return UnitaryOperator(controlled_phase(phi_epsilon))
 
 
-def build_toffoli_pair(epsilon: float) -> tuple[UnitaryOperator, UnitaryOperator]:
-    circ = toffoli_circuit()
-    ideal = UnitaryOperator(circuit_unitary(circ))
-    implemented = UnitaryOperator(circuit_unitary(circ, epsilon))
-    return ideal, implemented
-
-
-def build_qft_pair(n: int, epsilon: float) -> tuple[UnitaryOperator, UnitaryOperator]:
-    circ = qft_circuit(n)
-    ideal = UnitaryOperator(circuit_unitary(circ))
-    implemented = UnitaryOperator(circuit_unitary(circ, epsilon))
-    return ideal, implemented
-
-
 def error_unitary(ideal: UnitaryOperator, implemented: UnitaryOperator) -> UnitaryOperator:
     """Effective error unitary: ideal-adjoint times implemented."""
     if ideal.dim != implemented.dim:
@@ -181,25 +159,19 @@ def error_unitary(ideal: UnitaryOperator, implemented: UnitaryOperator) -> Unita
         # bitwise-equal factors cancel exactly; skip the rounded product so a
         # zero error parameter yields the identity exactly
         return UnitaryOperator(np.eye(ideal.dim))
-    return UnitaryOperator(adjoint(ideal.matrix) @ implemented.matrix)
+    return UnitaryOperator(ideal.matrix.conj().T @ implemented.matrix)
 
 
 def model_errors(model: str, params, n: int | None = None):
     """Yield the effective error unitary of a named benchmark model at each
     parameter in turn. The ideal circuit is built and validated once, before
     the first step, and is freed with the generator."""
+    model_dimension(model, n)
     if model == "cz":
         for param in params:
             yield build_cz_error(param)
         return
-    if model == "toffoli":
-        circ = toffoli_circuit()
-    elif model == "qft":
-        if n is None:
-            raise ValueError("the qft model requires a qubit count")
-        circ = qft_circuit(n)
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    circ = toffoli_circuit() if model == "toffoli" else qft_circuit(n)
     ideal = UnitaryOperator(circuit_unitary(circ))
     for param in params:
         yield error_unitary(ideal, UnitaryOperator(circuit_unitary(circ, param)))
@@ -211,6 +183,8 @@ def build_model_error(model: str, param: float, n: int | None = None) -> Unitary
 
 
 def model_dimension(model: str, n: int | None = None) -> int:
+    """Hilbert-space dimension of a named benchmark model; the one check of
+    the model name and of the qft qubit count (required, in [2, 10])."""
     if model == "cz":
         return 4
     if model == "toffoli":
@@ -218,5 +192,7 @@ def model_dimension(model: str, n: int | None = None) -> int:
     if model == "qft":
         if n is None:
             raise ValueError("the qft model requires a qubit count")
+        if not 2 <= n <= 10:
+            raise ValueError(f"qubit count must be in [2, 10], got {n}")
         return 1 << n
     raise ValueError(f"unknown model {model!r}")

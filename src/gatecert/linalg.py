@@ -74,34 +74,14 @@ class UnitaryOperator:
         return f"UnitaryOperator(dim={self.dim}, residual={self.unitarity_residual:.2e})"
 
 
-def multiply(a, b) -> np.ndarray:
-    a = _as_square_matrix(a)
-    b = _as_square_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    return _as_square_matrix(a).conj().T
-
-
-def trace(a) -> complex:
+def _trace_ld(a: np.ndarray) -> np.clongdouble:
     # longdouble accumulation: downstream moment formulas cancel heavily and
     # need the trace accurate to better than d*eps
-    return complex(np.sum(np.diag(_as_square_matrix(a)).astype(np.clongdouble)))
-
-
-def trace_of_square(a) -> complex:
-    """tr(A^2) in O(d^2) as sum_ij A_ij A_ji, without forming the product."""
-    return complex(_trace_of_square_ld(_as_square_matrix(a)))
-
-
-def _trace_ld(a: np.ndarray) -> np.clongdouble:
     return np.sum(np.diag(a).astype(np.clongdouble))
 
 
 def _trace_of_square_ld(a: np.ndarray) -> np.clongdouble:
+    """tr(A^2) in O(d^2) as sum_ij A_ij A_ji, without forming the product."""
     # the product buffer is filled in row blocks, so no full extended-precision
     # copy of `a` is held beside it; its entries and the summation over it are
     # those of np.sum(al * al.T), bit for bit
@@ -111,11 +91,6 @@ def _trace_of_square_ld(a: np.ndarray) -> np.clongdouble:
         j = i + _TRACE_BLOCK_ROWS
         np.multiply(a[i:j].astype(np.clongdouble), a[:, i:j].T, out=prod[i:j])
     return np.sum(prod)
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product; the left factor is the more significant subsystem."""
-    return np.kron(_as_square_matrix(a), _as_square_matrix(b))
 
 
 def _check_targets(gate: np.ndarray, targets, n: int):

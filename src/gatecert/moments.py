@@ -59,16 +59,6 @@ class HaarMCResult(NamedTuple):
     stderr_E2: float
 
 
-def symmetric_subspace_dim(d: int, k: int) -> int:
-    """tr of the symmetric projector on (C^d)^(x k), for the two orders used
-    by the moment formulas."""
-    if k == 2:
-        return d * (d + 1) // 2
-    if k == 4:
-        return d * (d + 1) * (d + 2) * (d + 3) // 24
-    raise ValueError(f"only k=2 and k=4 are supported, got k={k}")
-
-
 def _moments_from_invariants_ld(d: int, P2, Q2):
     dd = _LD(d)
     F = (dd + P2) / (dd * (dd + 1))

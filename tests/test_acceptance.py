@@ -1,153 +1,54 @@
-"""Acceptance suite: every criterion at its stated tolerance, one printed
-pass/fail line per criterion (run with pytest -s to see them)."""
+"""Acceptance suite, one printed pass/fail line per criterion (run with
+pytest -s to see them).
+
+Criteria 1-7 and 9-12 are the checks of gatecert.verify.CHECKS at the full
+profile, so `gatecert verify --full` runs the same code. Criterion 8 drives
+the CLI through the d = 1024 QFT sweep and is tested here alone.
+"""
 
 import math
 import time
 
-import numpy as np
-import pytest
-
-import gatecert as gc
 from gatecert.cli import main
+from gatecert.verify import CHECKS, result_line
 
-CZ_GRID = (0.01, 0.05, 0.1, 0.3, 0.7, 1.2, math.pi / 2, math.pi)
-
-
-def report(num, ok, detail):
-    print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}")
-    return f"criterion {num}: {detail}"
-
-
-def cz_closed_F(phi):
-    return 1.0 - 0.6 * math.sin(phi / 2.0) ** 2
-
-
-def cz_closed_D(phi):
-    return 0.2 * math.sqrt(17.0 / 7.0) * math.sin(phi / 2.0) ** 2
-
-
-def near_identity_unitary(d, rng, scale):
-    herm = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    herm = (herm + herm.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(herm)
-    vals = vals / np.abs(vals).max() * scale
-    return gc.UnitaryOperator((vecs * np.exp(-1j * vals)) @ vecs.conj().T)
+# one test per check, named by its acceptance criterion, so each criterion
+# keeps its test id
+TEST_NAMES = {
+    "cz-closed-forms": "test_criterion_01_cz_closed_forms",
+    "cz-tightness": "test_criterion_02_cz_exact_diamond_and_tightness",
+    "single-qubit-reference": "test_criterion_03_single_qubit_reference",
+    "d2-collapse": "test_criterion_04_d2_collapse",
+    "invariant-roundtrip": "test_criterion_05_invariant_roundtrip",
+    "bound-validity": "test_criterion_06_bound_validity_ordering",
+    "u1-collapse-ratio": "test_criterion_07_u1_collapse_factor",
+    "estimator-exhaustive": "test_criterion_09_estimator_exhaustive_oracle",
+    "estimator-consistency": "test_criterion_10_protocol_statistical_consistency",
+    "haar-mc-agreement": "test_criterion_11_haar_mc_oracle_agreement",
+    "witness-roundtrip": "test_criterion_12_tightness_witness",
+}
+# wall-time budget in seconds of the checks that have one
+BUDGET_S = {"bound-validity": 30, "estimator-consistency": 120, "haar-mc-agreement": 120}
 
 
-def test_criterion_01_cz_closed_forms():
-    worst = 0.0
-    for phi in CZ_GRID:
-        s = gc.fd_from_unitary(gc.build_cz_error(phi))
-        worst = max(worst, abs(s.F - cz_closed_F(phi)), abs(s.D - cz_closed_D(phi)))
-    ok = worst <= 1e-12
-    msg = report(1, ok, f"CZ closed forms, max |error| = {worst:.3e} (tol 1e-12)")
-    assert ok, msg
+def _acceptance_test(name, check):
+    def test():
+        start = time.monotonic()
+        ok, detail = check(True)
+        elapsed = time.monotonic() - start
+        if name in BUDGET_S:
+            ok = ok and elapsed < BUDGET_S[name]
+            detail += f", {elapsed:.1f} s (budget {BUDGET_S[name]} s)"
+        line = result_line(name, ok, detail)
+        print(line)
+        assert ok, line
+
+    test.__name__ = TEST_NAMES[name]
+    return test
 
 
-def test_criterion_02_cz_exact_diamond_and_tightness():
-    worst_d = worst_t = 0.0
-    for phi in CZ_GRID:
-        x = gc.build_cz_error(phi)
-        s = gc.fd_from_unitary(x)
-        d_exact = gc.diamond_exact(x)
-        worst_d = max(worst_d, abs(d_exact - abs(math.sin(phi / 2.0))))
-        worst_t = max(worst_t, abs(gc.bound_fd(s.F, s.D, 4) - d_exact))
-    ok = worst_d <= 1e-9 and worst_t <= 1e-9
-    msg = report(
-        2,
-        ok,
-        f"CZ diamond err = {worst_d:.3e}, tightness |b_fd - d_exact| = {worst_t:.3e} (tol 1e-9)",
-    )
-    assert ok, msg
-
-
-def test_criterion_03_single_qubit_reference():
-    worst_r = worst_d = 0.0
-    for delta in (0.01, 0.1, 0.5):
-        x = gc.UnitaryOperator(np.diag([np.exp(-1j * delta), np.exp(1j * delta)]))
-        s = gc.fd_from_unitary(x)
-        worst_r = max(worst_r, abs(s.r - (2.0 / 3.0) * math.sin(delta) ** 2))
-        worst_d = max(worst_d, abs(gc.diamond_exact(x) - abs(math.sin(delta))))
-    ok = worst_r <= 1e-12 and worst_d <= 1e-9
-    msg = report(
-        3,
-        ok,
-        f"single-qubit r err = {worst_r:.3e} (tol 1e-12), diamond err = {worst_d:.3e} (tol 1e-9)",
-    )
-    assert ok, msg
-
-
-def test_criterion_04_d2_collapse():
-    rng = np.random.default_rng(404)
-    worst = 0.0
-    for _ in range(500):
-        s = gc.fd_from_unitary(gc.UnitaryOperator(gc.haar_random_unitary(2, rng)))
-        worst = max(worst, abs(s.D - (1.0 - s.F) / math.sqrt(5.0)))
-    ok = worst <= 1e-12
-    msg = report(4, ok, f"d=2 collapse over 500 draws, max |error| = {worst:.3e} (tol 1e-12)")
-    assert ok, msg
-
-
-def test_criterion_05_invariant_roundtrip():
-    rng = np.random.default_rng(505)
-    worst = 0.0
-    for d in (4, 8, 16):
-        for _ in range(200):
-            s = gc.fd_from_unitary(gc.UnitaryOperator(gc.haar_random_unitary(d, rng)))
-            pq = gc.pq_from_fd(s.F, s.D, d)
-            worst = max(worst, abs(pq.P2 - s.P2) / s.P2, abs(pq.Q2 - s.Q2) / s.Q2)
-    ok = worst <= 1e-9
-    msg = report(5, ok, f"invariant round-trip, max relative error = {worst:.3e} (tol 1e-9)")
-    assert ok, msg
-
-
-def test_criterion_06_bound_validity_ordering():
-    sweeps = [
-        ("cz", None, np.linspace(1e-3, 1.0, 50)),
-        ("toffoli", None, np.linspace(1e-3, 0.5, 50)),
-        ("qft", 2, np.linspace(1e-3, 0.3, 30)),
-        ("qft", 3, np.linspace(1e-3, 0.3, 30)),
-        ("qft", 4, np.linspace(1e-3, 0.3, 30)),
-    ]
-    worst = -np.inf
-    points = 0
-    start = time.monotonic()
-    for model, n, grid in sweeps:
-        for param in grid:
-            x = gc.build_model_error(model, float(param), n)
-            s = gc.fd_from_unitary(x)
-            bundle = gc.certificate_bundle(x.dim, s.F, s.D, u=1.0, x=x)
-            points += 1
-            worst = max(
-                worst,
-                bundle.d_exact - bundle.b_fd,
-                bundle.d_exact - bundle.b_fidelity_only,
-                bundle.d_exact - bundle.b_ru,
-            )
-    elapsed = time.monotonic() - start
-    ok = worst <= 1e-9 and elapsed < 30.0
-    msg = report(
-        6,
-        ok,
-        f"validity over {points} sweep points, max d_exact - bound = {worst:.3e} "
-        f"(tol 1e-9), {elapsed:.1f} s (budget 30 s)",
-    )
-    assert ok, msg
-
-
-def test_criterion_07_u1_collapse_factor():
-    worst = 0.0
-    for d in (2, 4, 8, 1024):
-        target = d / math.sqrt(2.0)
-        for kappa in (1e-6, 1e-3, 0.5, 0.99):
-            r = kappa / (d * (d + 1.0))
-            ratio = gc.bound_ru(r, 1.0, d, clamp=False) / gc.bound_fidelity_only(
-                r, d, clamp=False
-            )
-            worst = max(worst, abs(ratio - target) / target)
-    ok = worst <= 1e-12
-    msg = report(7, ok, f"u=1 collapse ratio d/sqrt(2), max relative err = {worst:.3e} (tol 1e-12)")
-    assert ok, msg
+for _name, _check in CHECKS:
+    globals()[TEST_NAMES[_name]] = _acceptance_test(_name, _check)
 
 
 def test_criterion_08_qft_at_scale(tmp_path):
@@ -180,107 +81,12 @@ def test_criterion_08_qft_at_scale(tmp_path):
         for r in rows
     )
     ok = elapsed < 600.0 and ordering_ok and monotone_ok and ratio_ok
-    msg = report(
-        8,
+    line = result_line(
+        "qft-at-scale",
         ok,
         f"qft n=10 sweep: 20 rows in {elapsed:.0f} s (budget 600 s), "
         f"ordering {ordering_ok}, d_exact monotone {monotone_ok}, "
         f"ru/fidelity raw ratio = 1024/sqrt(2) {ratio_ok}",
     )
-    assert ok, msg
-
-
-def test_criterion_09_estimator_exhaustive_oracle():
-    worst = 0.0
-    for n in range(2, 7):
-        for f in (0.0, 0.25, 0.5, 0.75, 1.0):
-            e_f = e_f2 = 0.0
-            for outcome in range(1 << n):
-                k = outcome.bit_count()
-                w = f**k * (1.0 - f) ** (n - k)
-                e_f += w * k / n
-                e_f2 += w * k * (k - 1) / (n * (n - 1))
-            worst = max(worst, abs(e_f - f), abs(e_f2 - f * f))
-    ok = worst <= 1e-13
-    msg = report(9, ok, f"exhaustive estimator oracle, max bias = {worst:.3e} (machine precision)")
-    assert ok, msg
-
-
-def test_criterion_10_protocol_statistical_consistency():
-    phi, m_states, n_shots, seeds = 0.3, 100, 50, 2000
-    x = gc.build_cz_error(phi)
-    s = gc.fd_from_unitary(x)
-    start = time.monotonic()
-    f_hats = np.empty(seeds)
-    d2_hats = np.empty(seeds)
-    for i in range(seeds):
-        res = gc.run_protocol(x, m_states, n_shots, seed=i)
-        f_hats[i] = res.F_hat
-        d2_hats[i] = res.D2_hat
-    elapsed = time.monotonic() - start
-    pull_f = abs(f_hats.mean() - s.F) / (f_hats.std(ddof=1) / math.sqrt(seeds))
-    pull_d2 = abs(d2_hats.mean() - s.D**2) / (d2_hats.std(ddof=1) / math.sqrt(seeds))
-    predicted = s.D**2 / m_states + (s.F - s.E2) / (m_states * n_shots)
-    ratio = f_hats.var(ddof=1) / predicted
-    ok = pull_f <= 4.0 and pull_d2 <= 4.0 and 1.0 / 1.5 <= ratio <= 1.5 and elapsed < 120
-    msg = report(
-        10,
-        ok,
-        f"2000-seed consistency: F pull = {pull_f:.2f}, D2 pull = {pull_d2:.2f} (tol 4 SE), "
-        f"Var ratio = {ratio:.3f} (tol [0.667, 1.5]), {elapsed:.0f} s (budget 120 s)",
-    )
-    assert ok, msg
-
-
-def test_criterion_11_haar_mc_oracle_agreement():
-    rng = np.random.default_rng(1111)
-    start = time.monotonic()
-    failures = comparisons = 0
-    for d, count in ((2, 7), (4, 7), (8, 6)):
-        for i in range(count):
-            x = gc.UnitaryOperator(gc.haar_random_unitary(d, rng))
-            s = gc.fd_from_unitary(x)
-            mc = gc.haar_mc_moments(x, 100_000, seed=100 * d + i)
-            for got, want, err in (
-                (mc.F_mc, s.F, mc.stderr_F),
-                (mc.E2_mc, s.E2, mc.stderr_E2),
-            ):
-                comparisons += 1
-                if abs(got - want) > 5.0 * err:
-                    failures += 1
-    elapsed = time.monotonic() - start
-    ok = failures <= 1 and comparisons == 40 and elapsed < 120
-    msg = report(
-        11,
-        ok,
-        f"Haar-MC agreement: {failures}/{comparisons} beyond 5 sigma (allow 1), "
-        f"{elapsed:.0f} s (budget 120 s)",
-    )
-    assert ok, msg
-
-
-def test_criterion_12_tightness_witness():
-    rng = np.random.default_rng(1212)
-    pairs = 0
-    worst_fd = worst_m = 0.0
-    while pairs < 50:
-        d = 4 if pairs % 2 == 0 else 8
-        x = near_identity_unitary(d, rng, scale=rng.uniform(0.05, 0.35))
-        s = gc.fd_from_unitary(x)
-        try:
-            witness = gc.tightness_witness(s.F, s.D, d)
-        except ValueError:
-            continue  # inadmissible draw: no two-angle witness exists
-        pairs += 1
-        ws = gc.fd_from_unitary(witness)
-        worst_fd = max(worst_fd, abs(ws.F - s.F), abs(ws.D - s.D))
-        c = gc.certified_overlap(s.F, s.D, d)
-        worst_m = max(worst_m, abs(gc.min_overlap_exact(witness) - c))
-    ok = worst_fd <= 1e-9 and worst_m <= 1e-9
-    msg = report(
-        12,
-        ok,
-        f"witness round-trip over 50 admissible pairs: max (F,D) err = {worst_fd:.3e}, "
-        f"max |m - c| = {worst_m:.3e} (tol 1e-9)",
-    )
-    assert ok, msg
+    print(line)
+    assert ok, line

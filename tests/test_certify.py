@@ -446,6 +446,19 @@ def test_pinned_search_two_point_and_no_bracket():
         assert _pinned_max_span_scalar(P, _LD(0), d, _TWO_POINT_RTOL) is None
 
 
+def test_bundle_b_fd_equals_bound_fd_bitwise():
+    # both read sqrt(1 - c^2) off one helper, on every branch of c(F, D)
+    rng = np.random.default_rng(31)
+    spectra = [np.repeat([0.0, 0.7], [3, 1]), np.repeat([0.0, 0.9], [1, 7])]  # two-point
+    spectra += [rng.uniform(-0.3, 0.3, d) for d in (4, 8, 16)]  # relaxation
+    spectra += [_three_point_spectrum(rng, d)[0] for d in (4, 8)]  # three-point search
+    spectra.append(np.repeat([0.0, 0.5, -0.9], [70, 1, 1]))  # beyond the search cap
+    for phases in spectra:
+        F, D = _spectrum_fd(phases)
+        d = len(phases)
+        assert certificate_bundle(d, F, D).b_fd == bound_fd(F, D, d)
+
+
 def _slsqp_max_span(P, Q, d, starts):
     """Largest spread theta_1 - theta_0 that multistart SLSQP finds over d
     free phases with theta_0 = 0 <= theta_i <= theta_1 <= pi (the global phase

@@ -88,7 +88,10 @@ def test_sweep_log_grid(tmp_path):
 def test_sweep_usage_errors(tmp_path):
     out = str(tmp_path / "x.csv")
     assert main(["sweep", "--model", "bogus", "--out", out]) == 1
-    assert main(["sweep", "--model", "qft", "--out", out]) == 1  # missing --n
+    # missing --n, on every command that takes a model
+    assert main(["sweep", "--model", "qft", "--out", out]) == 1
+    assert main(["estimate", "--model", "qft", "--param", "0.1", "--out", out]) == 1
+    assert main(["moments", "--model", "qft", "--param", "0.1"]) == 1
     assert main(["sweep", "--model", "qft", "--n", "12", "--out", out]) == 1
     assert main(["sweep", "--model", "cz", "--steps", "1", "--out", out]) == 1
     assert (

@@ -9,8 +9,6 @@ from gatecert import (
     UnitaryOperator,
     build_cz_error,
     build_model_error,
-    build_qft_pair,
-    build_toffoli_pair,
     circuit_unitary,
     error_unitary,
     fd_from_unitary,
@@ -94,20 +92,18 @@ def test_build_cz_error_examples():
 
 
 def test_toffoli_ideal_is_permutation():
-    ideal, _ = build_toffoli_pair(0.0)
     perm = np.eye(8)
     perm[[6, 7]] = perm[[7, 6]]  # swaps |110> and |111>
-    assert np.abs(ideal.matrix - perm).max() < 1e-12
+    assert np.abs(circuit_unitary(toffoli_circuit()) - perm).max() < 1e-12
 
 
 def test_toffoli_error_identity_at_zero():
-    ideal, implemented = build_toffoli_pair(0.0)
-    x = error_unitary(ideal, implemented)
+    x = build_model_error("toffoli", 0.0)
     assert np.abs(x.matrix - np.eye(8)).max() < 1e-12
 
 
 def test_toffoli_implemented_is_unitary():
-    _, implemented = build_toffoli_pair(0.1)
+    implemented = UnitaryOperator(circuit_unitary(toffoli_circuit(), 0.1))
     assert implemented.unitarity_residual <= 1e-10
 
 
@@ -132,14 +128,12 @@ def test_qft_n2_gate_list():
 
 def test_qft_error_identity_at_zero():
     for n in range(2, 7):
-        ideal, implemented = build_qft_pair(n, 0.0)
-        x = error_unitary(ideal, implemented)
+        x = build_model_error("qft", 0.0, n)
         assert np.abs(x.matrix - np.eye(1 << n)).max() <= 1e-10
 
 
 def test_qft_uniform_superposition_from_zero_state():
-    ideal, _ = build_qft_pair(3, 0.0)
-    col = ideal.matrix[:, 0]
+    col = circuit_unitary(qft_circuit(3))[:, 0]
     assert np.abs(col - 1.0 / math.sqrt(8)).max() < 1e-12
 
 
@@ -180,7 +174,9 @@ def test_global_phase_error_is_invisible():
 
 def test_moments_invariant_under_global_phase_of_implemented():
     theta = 0.7
-    ideal, implemented = build_toffoli_pair(0.15)
+    circ = toffoli_circuit()
+    ideal = UnitaryOperator(circuit_unitary(circ))
+    implemented = UnitaryOperator(circuit_unitary(circ, 0.15))
     x1 = error_unitary(ideal, implemented)
     x2 = error_unitary(
         ideal, UnitaryOperator(np.exp(1j * theta) * implemented.matrix)
@@ -192,12 +188,9 @@ def test_moments_invariant_under_global_phase_of_implemented():
 
 def test_builder_continuity_near_zero():
     eps = 1e-6
-    ideal, implemented = build_toffoli_pair(eps)
-    x = error_unitary(ideal, implemented)
-    assert np.abs(x.matrix - np.eye(8)).max() <= 1e-4
-    ideal, implemented = build_qft_pair(3, eps)
-    x = error_unitary(ideal, implemented)
-    assert np.abs(x.matrix - np.eye(8)).max() <= 1e-4
+    for model, n in (("toffoli", None), ("qft", 3)):
+        x = build_model_error(model, eps, n)
+        assert np.abs(x.matrix - np.eye(8)).max() <= 1e-4
     assert np.abs(build_cz_error(eps).matrix - np.eye(4)).max() <= 1e-4
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gatecert import convex_hull, distance_origin_to_hull
+from gatecert.geometry import convex_hull, distance_origin_to_hull
 
 
 def test_single_point():

@@ -6,15 +6,13 @@ import pytest
 from gatecert import (
     UnitaryOperator,
     build_cz_error,
-    build_toffoli_pair,
+    build_model_error,
     d2_deviation,
-    error_unitary,
     fd_from_unitary,
     haar_mc_moments,
     haar_random_unitary,
     pq_from_fd,
     single_fidelity,
-    symmetric_subspace_dim,
 )
 
 SQRT_17_7 = math.sqrt(17.0 / 7.0)
@@ -156,16 +154,6 @@ def test_global_phase_invariance():
         )
 
 
-def test_symmetric_subspace_dims():
-    for d in (2, 4, 8, 16, 1024):
-        assert symmetric_subspace_dim(d, 2) == math.comb(d + 1, 2)
-        assert symmetric_subspace_dim(d, 4) == math.comb(d + 3, 4)
-        assert symmetric_subspace_dim(d, 2) == d * (d + 1) // 2
-        assert symmetric_subspace_dim(d, 4) == d * (d + 1) * (d + 2) * (d + 3) // 24
-    with pytest.raises(ValueError):
-        symmetric_subspace_dim(4, 3)
-
-
 def test_full_fourth_moment_formula_reduces_to_packaged_form():
     # the explicit fourth-moment numerator (with the interference term written
     # out) must agree with the packaged Q^2 form used by fd_from_unitary
@@ -203,7 +191,7 @@ def test_haar_mc_matches_closed_form_cz():
 
 
 def test_haar_mc_matches_closed_form_toffoli():
-    x = error_unitary(*build_toffoli_pair(0.2))
+    x = build_model_error("toffoli", 0.2)
     s = fd_from_unitary(x)
     mc = haar_mc_moments(x, 100_000, seed=7)
     assert abs(mc.E2_mc - s.E2) <= 4 * mc.stderr_E2
