@@ -213,8 +213,10 @@ def _pinned_max_span(P, Q, d: int, family_rtol: float):
        extended precision, _SUBSCAN_CHUNK intervals per residual call, and
        adjacent valid points whose residuals have product <= 0 form
        brackets;
-    3. bisection: all brackets are bisected together for 90 steps; one that
-       meets an invalid midpoint is dropped. Only roots driven to the
+    3. bisection: all brackets are bisected together until a step moves no
+       end, as happens once all ends are adjacent extended-precision
+       numbers (at most 90 steps); one that meets an invalid midpoint is
+       dropped. Only roots driven to the
        extended-precision noise floor count, which drops the tangential
        valleys surrounding two-point data at double precision, as do roots
        whose atoms lie within _ENDPOINT_TOL of each other.
@@ -285,9 +287,12 @@ def _pinned_max_span(P, Q, d: int, family_rtol: float):
         fm, _ = _pinned_resid(mid, p, q, r, sgn, P, Q)
         alive &= ~np.isnan(fm)
         left = flo * fm <= 0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
+        new_lo = np.where(left, lo, mid)
+        new_hi = np.where(left, mid, hi)
         flo = np.where(left, flo, fm)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break  # every step from here on repeats this one
+        lo, hi = new_lo, new_hi
     groot = (lo + hi) / 2
     fr, hroot = _pinned_resid(groot, p, q, r, sgn, P, Q)
     hf = hroot.astype(np.float64)

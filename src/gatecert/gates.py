@@ -4,6 +4,8 @@ Toffoli decomposition (d=8), and the n-qubit QFT without final swaps.
 
 Every gate-sequence product is written in acting order: the first gate in a
 CircuitSpec acts first on the state, so the circuit unitary is G_L ... G_2 G_1.
+Qubit 1 is the most significant bit of the computational-basis index; this is
+the one module that knows about qubits and gate targets.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import UnitaryOperator, exp_involutory, exp_projector_squared, left_apply_gate
+from .linalg import UnitaryOperator, exp_involutory, exp_projector_squared
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -25,6 +27,8 @@ PROJ_ONE = np.diag([0.0, 1.0]).astype(np.complex128)
 CNOT_GATE = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
 )
+# generator of the CNOT over-rotation, P1 (x) sigma_x
+CNOT_GENERATOR = np.kron(PROJ_ONE, SIGMA_X)
 
 _ARITY = {"H": 1, "T": 1, "Tdag": 1, "CNOT": 2, "CP": 2, "CZ_phase": 2}
 _NEEDS_ANGLE = {"CP", "CZ_phase"}
@@ -46,6 +50,8 @@ class GateSpec:
             raise ValueError(
                 f"{self.kind} takes {_ARITY[self.kind]} target(s), got {self.targets}"
             )
+        if len(set(self.targets)) != len(self.targets):
+            raise ValueError(f"duplicate target qubits: {self.targets}")
         if (self.kind in _NEEDS_ANGLE) != (self.angle is not None):
             raise ValueError(f"angle must be given exactly for {sorted(_NEEDS_ANGLE)}")
         if self.angle is not None and not math.isfinite(self.angle):
@@ -95,10 +101,30 @@ def overrotated_gate(spec: GateSpec, epsilon: float) -> np.ndarray:
     if spec.kind == "H":
         return exp_involutory(HADAMARD, epsilon / 2.0) @ HADAMARD
     if spec.kind == "CNOT":
-        return exp_projector_squared(np.kron(PROJ_ONE, SIGMA_X), epsilon) @ CNOT_GATE
+        return exp_projector_squared(CNOT_GENERATOR, epsilon) @ CNOT_GATE
     if spec.kind == "CP":
         return controlled_phase((1.0 + epsilon) * spec.angle)
     raise ValueError(f"no over-rotation model for gate kind {spec.kind!r}")
+
+
+def left_apply_gate(matrix: np.ndarray, gate: np.ndarray, targets, n: int) -> np.ndarray:
+    """Return (gate embedded on `targets` of n qubits) @ matrix without forming
+    the 2^n x 2^n embedded gate.
+
+    Nothing is checked: matrix is a 2^n x 2^n complex array, the targets are
+    distinct, lie in [1, n], and number k with gate of shape 2^k x 2^k, as a
+    GateSpec inside its CircuitSpec guarantees.
+    """
+    d = 1 << n
+    k = len(targets)
+    axes = [t - 1 for t in targets]
+    rest = [i for i in range(n) if i not in axes]
+    tens = matrix.reshape((2,) * n + (d,))
+    tens = np.transpose(tens, axes + rest + [n]).reshape(1 << k, -1)
+    tens = gate @ tens
+    tens = tens.reshape([2] * k + [2] * (n - k) + [d])
+    undo = list(np.argsort(axes + rest))
+    return np.ascontiguousarray(np.transpose(tens, undo + [n]).reshape(d, d))
 
 
 def circuit_unitary(circuit: CircuitSpec, epsilon: float | None = None) -> np.ndarray:
@@ -151,15 +177,20 @@ def build_cz_error(phi_epsilon: float) -> UnitaryOperator:
     return UnitaryOperator(controlled_phase(phi_epsilon))
 
 
-def error_unitary(ideal: UnitaryOperator, implemented: UnitaryOperator) -> UnitaryOperator:
-    """Effective error unitary: ideal-adjoint times implemented."""
-    if ideal.dim != implemented.dim:
-        raise ValueError(f"dimension mismatch: {ideal.dim} vs {implemented.dim}")
-    if np.array_equal(ideal.matrix, implemented.matrix):
+def error_unitary(ideal: UnitaryOperator, implemented) -> UnitaryOperator:
+    """Effective error unitary: ideal-adjoint times the implemented matrix.
+
+    Only the product is validated: with the ideal unitary, X^dag X = V^dag V,
+    so the product's unitarity check is also the implemented matrix's.
+    """
+    implemented = np.asarray(implemented, dtype=np.complex128)
+    if implemented.shape != ideal.matrix.shape:
+        raise ValueError(f"dimension mismatch: {ideal.matrix.shape} vs {implemented.shape}")
+    if np.array_equal(ideal.matrix, implemented):
         # bitwise-equal factors cancel exactly; skip the rounded product so a
         # zero error parameter yields the identity exactly
         return UnitaryOperator(np.eye(ideal.dim))
-    return UnitaryOperator(ideal.matrix.conj().T @ implemented.matrix)
+    return UnitaryOperator(ideal.matrix.conj().T @ implemented)
 
 
 def model_errors(model: str, params, n: int | None = None):
@@ -174,7 +205,7 @@ def model_errors(model: str, params, n: int | None = None):
     circ = toffoli_circuit() if model == "toffoli" else qft_circuit(n)
     ideal = UnitaryOperator(circuit_unitary(circ))
     for param in params:
-        yield error_unitary(ideal, UnitaryOperator(circuit_unitary(circ, param)))
+        yield error_unitary(ideal, circuit_unitary(circ, param))
 
 
 def build_model_error(model: str, param: float, n: int | None = None) -> UnitaryOperator:

@@ -1,8 +1,7 @@
 """Dense complex matrix primitives: unitary validation, eigenvalues, closed-form
 exponentials for the two generator families used by the coherent error models.
 
-All matrices are square numpy arrays of complex128, row-major, with qubit 1 as
-the most significant bit of the computational-basis index.
+All matrices are square numpy arrays of complex128, row-major.
 """
 
 from __future__ import annotations
@@ -91,45 +90,6 @@ def _trace_of_square_ld(a: np.ndarray) -> np.clongdouble:
         j = i + _TRACE_BLOCK_ROWS
         np.multiply(a[i:j].astype(np.clongdouble), a[:, i:j].T, out=prod[i:j])
     return np.sum(prod)
-
-
-def _check_targets(gate: np.ndarray, targets, n: int):
-    targets = tuple(int(t) for t in targets)
-    k = len(targets)
-    if len(set(targets)) != k:
-        raise ValueError(f"duplicate target qubits: {targets}")
-    if any(t < 1 or t > n for t in targets):
-        raise ValueError(f"target qubits {targets} out of range [1, {n}]")
-    if gate.shape[0] != 2**k:
-        raise ValueError(
-            f"gate dimension {gate.shape[0]} does not match {k} target qubit(s)"
-        )
-    return targets
-
-
-def left_apply_gate(matrix, gate, targets, n: int) -> np.ndarray:
-    """Return (G embedded on `targets` of n qubits) @ matrix without forming
-    the 2^n x 2^n embedded gate. Qubit 1 is the most significant bit."""
-    m = _as_square_matrix(matrix)
-    gate = _as_square_matrix(gate)
-    targets = _check_targets(gate, targets, n)
-    d = 1 << n
-    if m.shape[0] != d:
-        raise ValueError(f"matrix dimension {m.shape[0]} does not match n={n}")
-    k = len(targets)
-    axes = [t - 1 for t in targets]
-    rest = [i for i in range(n) if i not in axes]
-    tens = m.reshape((2,) * n + (d,))
-    tens = np.transpose(tens, axes + rest + [n]).reshape(1 << k, -1)
-    tens = gate @ tens
-    tens = tens.reshape([2] * k + [2] * (n - k) + [d])
-    undo = list(np.argsort(axes + rest))
-    return np.ascontiguousarray(np.transpose(tens, undo + [n]).reshape(d, d))
-
-
-def embed_gate(gate, targets, n: int) -> np.ndarray:
-    """Embed a 2^k x 2^k gate on the listed qubits (identity elsewhere)."""
-    return left_apply_gate(np.eye(1 << n, dtype=np.complex128), gate, targets, n)
 
 
 def _turned_phases(m: np.ndarray):

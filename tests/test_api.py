@@ -1,4 +1,16 @@
+import importlib.util
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import gatecert
+import gatecert.certify
+import gatecert.cli
+import gatecert.estimate
+import gatecert.gates
+import gatecert.linalg
+
+BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 # wrappers that only tests used, and the hull routines that nothing in the
 # package calls any more
@@ -8,6 +20,7 @@ REMOVED = (
     "build_toffoli_pair",
     "convex_hull",
     "distance_origin_to_hull",
+    "embed_gate",
     "kron",
     "multiply",
     "symmetric_subspace_dim",
@@ -29,3 +42,42 @@ def test_removed_names_are_not_exported():
     for name in REMOVED:
         assert name not in gatecert.__all__
         assert not hasattr(gatecert, name), name
+
+
+def test_linalg_knows_no_qubits():
+    # gates is the one module that knows about qubits and gate targets
+    for name in ("left_apply_gate", "embed_gate", "_check_targets"):
+        assert not hasattr(gatecert.linalg, name), name
+
+
+def _load_bench_run(monkeypatch):
+    """bench/run.py as a module, loaded without running it; its edits to
+    sys.path and the BLAS thread variables are undone after the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location("gatecert_bench_run", BENCH_RUN)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run
+
+
+def test_bench_trace_targets_exist(monkeypatch):
+    # `bench/run.py --trace 1` wraps these attributes; each must exist on the
+    # package modules, and the gate kernel must be looked up through `gates`
+    run = _load_bench_run(monkeypatch)
+    api = SimpleNamespace(
+        cli=gatecert.cli,
+        certify=gatecert.certify,
+        estimate=gatecert.estimate,
+        gates=gatecert.gates,
+        linalg=gatecert.linalg,
+    )
+    targets = run.trace_targets(api)
+    for owner, attr, _span in targets:
+        assert callable(getattr(owner, attr, None)), (owner, attr)
+
+    with run.patched(run.SpanRecorder(), targets) as rec:
+        gatecert.gates.build_model_error("toffoli", 0.1)
+    # the ideal and the implemented circuit, 15 gates each
+    assert rec.summary()["linalg.left_apply_gate"]["calls"] == 30

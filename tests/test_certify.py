@@ -32,16 +32,9 @@ from gatecert.certify import (
     _two_point_span,
 )
 from gatecert.moments import _pq_from_fd_ld
+from gatecert.verify import _near_identity_unitary
 
 CZ_GRID = (0.01, 0.05, 0.1, 0.3, 0.7, 1.2)
-
-
-def near_identity_unitary(d, rng, scale):
-    herm = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    herm = (herm + herm.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(herm)
-    vals = vals / np.abs(vals).max() * scale
-    return UnitaryOperator((vecs * np.exp(-1j * vals)) @ vecs.conj().T)
 
 
 def test_min_overlap_identity():
@@ -256,7 +249,7 @@ def test_witness_roundtrip_random():
     done = 0
     while done < 20:
         d = 4 if done % 2 == 0 else 8
-        x = near_identity_unitary(d, rng, scale=rng.uniform(0.05, 0.3))
+        x = _near_identity_unitary(d, rng, scale=rng.uniform(0.05, 0.3))
         s = fd_from_unitary(x)
         try:
             w = tightness_witness(s.F, s.D, d)

@@ -6,17 +6,39 @@ import pytest
 from gatecert import (
     CircuitSpec,
     GateSpec,
+    UnitarityError,
     UnitaryOperator,
     build_cz_error,
     build_model_error,
     circuit_unitary,
     error_unitary,
     fd_from_unitary,
+    haar_random_unitary,
     ideal_gate,
     overrotated_gate,
     qft_circuit,
     toffoli_circuit,
 )
+from gatecert import gates
+from gatecert.gates import CNOT_GATE, SIGMA_X, left_apply_gate
+
+
+def embedded(gate, targets, n):
+    """The gate embedded on `targets` of n qubits, by enumerating basis
+    states bit by bit (qubit 1 the most significant bit, the first target the
+    most significant bit of the gate's index): an oracle independent of
+    left_apply_gate's reshapes."""
+    k = len(targets)
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    for col in range(1 << n):
+        bits = [(col >> (n - q)) & 1 for q in range(1, n + 1)]
+        sub_in = sum(bits[t - 1] << (k - 1 - i) for i, t in enumerate(targets))
+        for sub_out in range(1 << k):
+            for i, t in enumerate(targets):
+                bits[t - 1] = (sub_out >> (k - 1 - i)) & 1
+            row = sum(b << (n - q) for q, b in enumerate(bits, start=1))
+            out[row, col] = gate[sub_out, sub_in]
+    return out
 
 
 def test_gate_spec_validation():
@@ -32,11 +54,17 @@ def test_gate_spec_validation():
         GateSpec("XX", (1,))
     with pytest.raises(ValueError):
         GateSpec("CP", (1, 2), float("inf"))
+    with pytest.raises(ValueError):
+        GateSpec("CNOT", (1, 1))  # duplicate target
 
 
 def test_circuit_spec_target_range():
     with pytest.raises(ValueError):
         CircuitSpec(1, (GateSpec("H", (2,)),))
+    with pytest.raises(ValueError):
+        CircuitSpec(2, (GateSpec("H", (3,)),))
+    with pytest.raises(ValueError):
+        CircuitSpec(2, (GateSpec("CNOT", (0, 1)),))
 
 
 def test_ideal_gate_examples():
@@ -146,25 +174,20 @@ def test_qft_range_check():
 
 def test_error_unitary_examples():
     rng = np.random.default_rng(0)
-    from gatecert import haar_random_unitary
-
     u = UnitaryOperator(haar_random_unitary(4, rng))
-    assert np.abs(error_unitary(u, u).matrix - np.eye(4)).max() < 1e-12
+    assert np.abs(error_unitary(u, u.matrix).matrix - np.eye(4)).max() < 1e-12
 
     phi, phi_eps = 0.5, 0.2
     ideal = UnitaryOperator(np.diag([1, 1, 1, np.exp(1j * phi)]))
-    implemented = UnitaryOperator(np.diag([1, 1, 1, np.exp(1j * (phi + phi_eps))]))
+    implemented = np.diag([1, 1, 1, np.exp(1j * (phi + phi_eps))])
     x = error_unitary(ideal, implemented)
     assert np.abs(x.matrix - np.diag([1, 1, 1, np.exp(1j * phi_eps)])).max() < 1e-12
 
 
 def test_global_phase_error_is_invisible():
     rng = np.random.default_rng(1)
-    from gatecert import haar_random_unitary
-
     u = UnitaryOperator(haar_random_unitary(4, rng))
-    shifted = UnitaryOperator(np.exp(1j * 0.9) * u.matrix)
-    x = error_unitary(u, shifted)
+    x = error_unitary(u, np.exp(1j * 0.9) * u.matrix)
     s = fd_from_unitary(x)
     assert s.F == pytest.approx(1.0, abs=1e-12)
     # D is the square root of a cancellation, so rounding in the u-dagger-u
@@ -176,11 +199,9 @@ def test_moments_invariant_under_global_phase_of_implemented():
     theta = 0.7
     circ = toffoli_circuit()
     ideal = UnitaryOperator(circuit_unitary(circ))
-    implemented = UnitaryOperator(circuit_unitary(circ, 0.15))
+    implemented = circuit_unitary(circ, 0.15)
     x1 = error_unitary(ideal, implemented)
-    x2 = error_unitary(
-        ideal, UnitaryOperator(np.exp(1j * theta) * implemented.matrix)
-    )
+    x2 = error_unitary(ideal, np.exp(1j * theta) * implemented)
     s1, s2 = fd_from_unitary(x1), fd_from_unitary(x2)
     assert abs(s1.F - s2.F) <= 1e-12
     assert abs(s1.D - s2.D) <= 1e-12
@@ -195,13 +216,73 @@ def test_builder_continuity_near_zero():
 
 
 def test_circuit_unitary_matches_embedding_product():
-    from gatecert import embed_gate
+    # qft n = 3 puts CP gates on the non-adjacent, reversed targets (3, 1)
+    for circ in (toffoli_circuit(), qft_circuit(3)):
+        for eps in (None, 0.13):
+            u = np.eye(1 << circ.n, dtype=complex)
+            for spec in circ.gates:
+                g = ideal_gate(spec) if eps is None else overrotated_gate(spec, eps)
+                u = embedded(g, spec.targets, circ.n) @ u
+            assert np.abs(circuit_unitary(circ, eps) - u).max() < 1e-12
 
-    circ = toffoli_circuit()
-    u = np.eye(8, dtype=complex)
-    for spec in circ.gates:
-        u = embed_gate(ideal_gate(spec), spec.targets, 3) @ u
-    assert np.abs(circuit_unitary(circ) - u).max() < 1e-12
+
+def test_left_apply_gate_single_qubit():
+    out = left_apply_gate(np.eye(2, dtype=complex), SIGMA_X, (1,), 1)
+    assert np.array_equal(out, SIGMA_X)
+    # sigma_x on qubit 2 of 2 maps |00> -> |01>
+    out = left_apply_gate(np.eye(4, dtype=complex), SIGMA_X, (2,), 2)
+    state = np.zeros(4)
+    state[0] = 1.0
+    assert np.allclose(out @ state, np.eye(4)[1])
+
+
+def test_left_apply_gate_cnot_enumeration():
+    # oracle: CNOT with control=qubit1, target=qubit2 embedded in 3 qubits,
+    # enumerated over all 8 basis states directly from the CNOT definition
+    out = left_apply_gate(np.eye(8, dtype=complex), CNOT_GATE, (1, 2), 3)
+    for basis in range(8):
+        b1, b2, b3 = (basis >> 2) & 1, (basis >> 1) & 1, basis & 1
+        if b1 == 1:
+            b2 ^= 1
+        expect = (b1 << 2) | (b2 << 1) | b3
+        col = out[:, basis]
+        assert col[expect] == pytest.approx(1.0)
+        assert np.count_nonzero(col) == 1
+    # the spec's instance: |110> -> |100>
+    assert out[0b100, 0b110] == pytest.approx(1.0)
+
+
+def test_left_apply_gate_disjoint_supports_commute():
+    rng = np.random.default_rng(3)
+    g = haar_random_unitary(2, rng)
+    h = haar_random_unitary(2, rng)
+    eye = np.eye(8, dtype=complex)
+    a = left_apply_gate(left_apply_gate(eye, h, (3,), 3), g, (1,), 3)
+    b = left_apply_gate(left_apply_gate(eye, g, (1,), 3), h, (3,), 3)
+    assert np.abs(a - b).max() < 1e-12
+
+
+def test_error_unitary_checks_the_implemented_matrix():
+    ideal = UnitaryOperator(circuit_unitary(toffoli_circuit()))
+    with pytest.raises(ValueError):
+        error_unitary(ideal, np.eye(4))
+    # the product's unitarity check is the implemented matrix's
+    with pytest.raises(UnitarityError):
+        error_unitary(ideal, 1.01 * circuit_unitary(toffoli_circuit(), 0.1))
+
+
+@pytest.mark.parametrize("model,n", [("toffoli", None), ("qft", 3)])
+def test_model_errors_validate_one_unitary_per_row(model, n, monkeypatch):
+    built = []
+
+    def counted(matrix):
+        built.append(matrix)
+        return UnitaryOperator(matrix)
+
+    monkeypatch.setattr(gates, "UnitaryOperator", counted)
+    rows = list(gates.model_errors(model, [1e-4, 0.1, 0.3], n))
+    # the ideal once per command, then one error unitary per row
+    assert len(built) == 1 + len(rows)
 
 
 @pytest.mark.parametrize("model,n", [("toffoli", None), ("qft", 3), ("qft", 5)])

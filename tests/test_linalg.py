@@ -9,7 +9,6 @@ from gatecert import (
     UnitaryOperator,
     build_model_error,
     eigenvalues_unitary,
-    embed_gate,
     exp_involutory,
     exp_projector_squared,
     haar_random_unitary,
@@ -18,7 +17,6 @@ from gatecert.linalg import _trace_ld, _trace_of_square_ld
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
-CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
 
 def random_matrix(rng, d):
@@ -53,49 +51,6 @@ def test_trace_cyclicity():
         a = random_matrix(rng, 8)
         b = random_matrix(rng, 8)
         assert abs(complex(_trace_ld(a @ b)) - np.trace(b @ a)) < 1e-12
-
-
-def test_embed_gate_single_qubit():
-    assert np.array_equal(embed_gate(SX, [1], 1), SX)
-    # sigma_x on qubit 2 of 2 maps |00> -> |01>
-    out = embed_gate(SX, [2], 2)
-    state = np.zeros(4)
-    state[0] = 1.0
-    assert np.allclose(out @ state, np.eye(4)[1])
-
-
-def test_embed_gate_cnot_enumeration():
-    # oracle: CNOT with control=qubit1, target=qubit2 embedded in 3 qubits,
-    # enumerated over all 8 basis states directly from the CNOT definition
-    out = embed_gate(CNOT, [1, 2], 3)
-    for basis in range(8):
-        b1, b2, b3 = (basis >> 2) & 1, (basis >> 1) & 1, basis & 1
-        if b1 == 1:
-            b2 ^= 1
-        expect = (b1 << 2) | (b2 << 1) | b3
-        col = out[:, basis]
-        assert col[expect] == pytest.approx(1.0)
-        assert np.count_nonzero(col) == 1
-    # the spec's instance: |110> -> |100>
-    assert out[0b100, 0b110] == pytest.approx(1.0)
-
-
-def test_embed_gate_errors():
-    with pytest.raises(ValueError):
-        embed_gate(SX, [3], 2)
-    with pytest.raises(ValueError):
-        embed_gate(CNOT, [1, 1], 2)
-    with pytest.raises(ValueError):
-        embed_gate(SX, [1, 2], 2)
-
-
-def test_embed_gate_disjoint_supports_commute():
-    rng = np.random.default_rng(3)
-    g = haar_random_unitary(2, rng)
-    h = haar_random_unitary(2, rng)
-    a = embed_gate(g, [1], 3) @ embed_gate(h, [3], 3)
-    b = embed_gate(h, [3], 3) @ embed_gate(g, [1], 3)
-    assert np.abs(a - b).max() < 1e-12
 
 
 def test_unitary_operator_validation():
