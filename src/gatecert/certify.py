@@ -19,12 +19,12 @@ the exact optimum. When a > 1 no conjugate-pair spectrum matches the data
 (the relaxation alone is strictly loose there, e.g. on the CZ-like family
 with a repeated eigenvalue); the extremal spectra then concentrate on at
 most three support angles, and _pinned_max_span solves that case: closed
-form on the two-point families, and otherwise a root search over every
-multiplicity split of three support angles, batched in three stages (a
-float64 bracket scan per split, an extended-precision sub-scan of the
-marked intervals in chunks, one bisection of all brackets together).
-Beyond the search cap of d = 64 it falls back to the always-valid
-relaxation root.
+form on the two-point families, and otherwise one algebraic solve over every
+multiplicity split of three support angles (the resultant of the two trace
+constraints is a degree-6 polynomial in the cosine of one angle; its roots
+come from one batched companion eigensolve and a Newton polish in extended
+precision). Beyond the search cap of d = 64 it falls back to the
+always-valid relaxation root.
 Everything runs in extended precision since the radicand cancels to fourth
 order in the error angle near the identity. Unlike the plain relaxation, the
 exact boundary-corrected certificate is not globally monotone in D at fixed
@@ -58,14 +58,10 @@ _BULK_COS_TOL = _LD(1e-12)  # a <= 1 + tol keeps the relaxation branch
 # benchmark surface
 _TWO_POINT_RTOL = 5e-15
 _PINNED_MAX_DIM = 64  # three-point search cap; beyond it keep the relaxation
-_PINNED_GRID = 4096
 # interior atoms closer than this to another atom form degenerate two-point
 # configurations, where the search residual is tangential and root positions
 # are numerically meaningless; the two-point closed form covers those exactly
 _ENDPOINT_TOL = 5e-4
-# intervals per extended-precision sub-scan call: one call over every
-# interval raised peak RSS by 1 MB at d = 24
-_SUBSCAN_CHUNK = 32
 
 
 class CertFlags(IntFlag):
@@ -179,50 +175,79 @@ def _two_point_span(P, Q, d: int, family_rtol: float):
     return best
 
 
+def _split_resultant(x, p, q, r, P2, Q2):
+    """Resultant in w = e^{ih} of the two trace constraints on the spectrum
+    with q atoms at 0, p at g and r at h, at x = cos g, in float64.
+
+    With z = e^{ig} and alpha = q + p z, |tr X|^2 = P^2 times w is
+
+        a(w) = r conj(alpha) w^2 + (|alpha|^2 + r^2 - P^2) w + r alpha,
+
+    whose two roots w+- are the two branches of h, and |tr X^2 + (tr X)^2|^2
+    = Q^2 times w^2 is b(w) = U(w) w^2 conj(U)(1/w) - Q^2 w^2 with
+    U(w) = (q + p z^2 + alpha^2) + 2 r alpha w + r (r + 1) w^2. The resultant
+    R = a_2^4 b(w+) b(w-) is a real polynomial of degree 6 in x. a_2 =
+    r conj(alpha) vanishes only at x = -1 when p = q.
+    """
+    z = x + 1j * np.sqrt((1 - x) * (1 + x))
+    alpha = q + p * z
+    a2 = r * np.conj(alpha)
+    a1 = np.abs(alpha) ** 2 + r * r - P2
+    root = np.sqrt(a1 * a1 - 4 * a2 * r * alpha)
+    u0, u1, u2 = q + p * z * z + alpha * alpha, 2 * r * alpha, r * (r + 1)
+
+    def b(w):
+        return (u0 + (u1 + u2 * w) * w) * ((np.conj(u0) * w + np.conj(u1)) * w + u2) - Q2 * w * w
+
+    return (a2**4 * b((root - a1) / (2 * a2)) * b((-root - a1) / (2 * a2))).real
+
+
 def _pinned_resid(g, p, q, r, sgn, P, Q):
     """Residual |tr X^2 + (tr X)^2| - Q, in extended precision, of the
     spectrum with q atoms at 0, p at g and r at h, where h is the sgn branch
-    of the angle that makes |tr X| = P. Returns (residual, h), both NaN where
-    no such h exists. g is longdouble; p, q, r and sgn broadcast against it."""
-    a = q + p * np.exp(1j * g.astype(_CLD))
-    aa = np.abs(a)
+    of the angle that makes |tr X| = P. Returns (residual, h, d residual/dg
+    along the branch), all NaN where no such h exists. g is longdouble; p, q,
+    r and sgn broadcast against it."""
     with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.exp(1j * g.astype(_CLD))
+        a = q + p * z
+        aa = np.abs(a)
         cd = (P * P - aa * aa - r * r) / (2 * r * aa)
         ok = (aa > 1e-12) & (cd >= -1) & (cd <= 1)
         h = np.where(ok, np.angle(a) + sgn * np.arccos(cd), np.nan)
-    t1 = a + r * np.exp(1j * h.astype(_CLD))
-    w = q + p * np.exp(2j * g.astype(_CLD)) + r * np.exp(2j * h.astype(_CLD)) + t1 * t1
-    return np.abs(w) - Q, h
+        e = np.exp(1j * h.astype(_CLD))
+        t1 = a + r * e
+        w = q + p * z * z + r * e * e + t1 * t1
+        # |t1| = P along the branch: Im(conj(t1) (p z + r e h')) = 0
+        dh = -np.imag(np.conj(t1) * p * z) / np.imag(np.conj(t1) * r * e)
+        dw = 2j * (p * z * (z + t1) + dh * r * e * (e + t1))
+        return np.abs(w) - Q, h, np.real(np.conj(w) * dw) / np.abs(w)
 
 
 def _pinned_max_span(P, Q, d: int, family_rtol: float):
     """Maximal angular spread over spectra with at most three support angles
     {0, h, g} matching the invariants (the extremal structure when the
     relaxation's equality case is unattainable; cross-validated against
-    direct constrained optimization at d = 4 and 8 in the tests).
+    direct constrained optimization at d = 4, 8 and 16 in the tests).
 
     Along the curve where the first invariant holds, the angle h of the r
     atoms is closed-form in the angle g of the p atoms, so each multiplicity
-    split (p, q, r) and branch of h leaves one equation in g. It is solved in
-    three batched stages:
+    split (p, q, r) and branch of h leaves one equation in g. Eliminating h
+    turns it into R(cos g) = 0 for the degree-6 polynomial of
+    _split_resultant, solved for every split at once:
 
-    1. coarse grid: per (p, q), a float64 grid of g in (0, pi] marks every
-       interval where the second-invariant residual changes sign or comes
-       within 1e-12 of zero;
-    2. sub-scan: the marked intervals are re-scanned on 33 points in
-       extended precision, _SUBSCAN_CHUNK intervals per residual call, and
-       adjacent valid points whose residuals have product <= 0 form
-       brackets;
-    3. bisection: all brackets are bisected together until a step moves no
-       end, as happens once all ends are adjacent extended-precision
-       numbers (at most 90 steps); one that meets an invalid midpoint is
-       dropped. Only roots driven to the
-       extended-precision noise floor count, which drops the tangential
-       valleys surrounding two-point data at double precision, as do roots
-       whose atoms lie within _ENDPOINT_TOL of each other.
+    1. per split, R is interpolated at the 7 Chebyshev nodes of the interval
+       of x = cos g on which h exists, |P - r| <= |alpha| <= P + r, and one
+       batched companion-matrix eigensolve gives the roots of every split;
+    2. each real part inside its interval gives g = arccos(x), on both
+       branches of h, and 4 Newton steps on the extended-precision residual
+       polish it.
 
-    The span max(0, h, g) - min(0, h, g) of the best root is returned, or
-    None when no root survives.
+    Only roots driven to the extended-precision noise floor count, which
+    drops the tangential valleys surrounding two-point data at double
+    precision, as do roots whose atoms lie within _ENDPOINT_TOL of each other
+    and roots that Newton moved out of g in (0, pi]. The span max(0, h, g) -
+    min(0, h, g) of the best root is returned, or None when no root survives.
     """
     P = _LD(P)
     Q = _LD(Q)
@@ -232,73 +257,35 @@ def _pinned_max_span(P, Q, d: int, family_rtol: float):
         # structure is unresolvable and the family gap is exact
         return two_point
 
-    grid = np.linspace(1e-9, np.pi, _PINNED_GRID)
-    eg = np.exp(1j * grid)
-    eg2 = eg * eg
-    sgns = np.array([[1.0], [-1.0]])
-    near_tol = 1e-12 * (1 + float(Q))
-    start = []  # left grid index of each marked interval
-    split = []  # its (p, q, r, sgn)
-    for p in range(1, d - 1):
-        for q in range(1, d - p):
-            r = d - p - q
-            A = q + p * eg
-            aA = np.abs(A)
-            cos_gap = (float(P * P) - aA * aA - r * r) / (2.0 * r * aA)
-            in_domain = (np.abs(cos_gap) <= 1.0) & (aA > 1e-12)
-            both = in_domain[:-1] & in_domain[1:]
-            if not both.any():
-                continue
-            # the residual on the domain only, for both branches of h at once
-            k = np.flatnonzero(in_domain)
-            h = np.angle(A[k]) + sgns * np.arccos(cos_gap[k])
-            t1 = A[k] + r * np.exp(1j * h)
-            w = q + p * eg2[k] + r * np.exp(2j * h) + t1 * t1
-            resid = np.full((2, _PINNED_GRID), np.nan)
-            resid[:, k] = np.abs(w) - float(Q)
-            near = np.abs(resid) <= near_tol
-            change = resid[:, :-1] * resid[:, 1:] <= 0
-            hit = both & (change | near[:, :-1] | near[:, 1:])
-            for sgn, row in zip((1.0, -1.0), hit):
-                idx = np.flatnonzero(row)
-                start.extend(idx)
-                split.extend([(p, q, r, sgn)] * idx.size)
-    if not start:
-        return None
-    i = np.array(start)
-    # small integers, exact in float64, so the residual's arithmetic is
-    # that of Python ints
-    p, q, r, sgn = np.array(split).T[:, :, None]
+    p, q = np.array([(p, q) for p in range(1, d - 1) for q in range(1, d - p)]).T
+    r = d - p - q
+    P64 = float(P)
+    lo = np.maximum(((P64 - r) ** 2 - p * p - q * q) / (2 * p * q), -1.0)
+    hi = np.minimum(((P64 + r) ** 2 - p * p - q * q) / (2 * p * q), 1.0)
+    split = lo < hi
+    p, q, r, lo, hi = (v[split, None] for v in (p, q, r, lo, hi))
+    mid, half = (hi + lo) / 2, (hi - lo) / 2
+    t = np.cos((np.arange(7) + 0.5) * np.pi / 7)
+    R = _split_resultant(mid + half * t, p, q, r, P64 * P64, float(Q) ** 2)
+    coef = np.linalg.solve(np.vander(t), R.T)
+    companion = np.zeros((p.size, 6, 6))
+    companion[:, 1:, :-1] = np.eye(5)
+    companion[:, 0] = -(coef[1:] / coef[0]).T
+    roots = np.linalg.eigvals(companion).real
+    inside = np.abs(roots) <= 1
+    g = np.arccos((mid + half * roots)[inside]).astype(_LD)
+    p, q, r = (np.broadcast_to(v, roots.shape)[inside] for v in (p, q, r))
+    g, p, q, r, sgn = np.broadcast_arrays(g, p, q, r, np.array([[1.0], [-1.0]]))
 
-    sub = np.linspace(grid[i], grid[i + 1], 33, axis=1)
-    f = np.empty(sub.shape, dtype=_LD)
-    for j in range(0, len(sub), _SUBSCAN_CHUNK):
-        c = slice(j, j + _SUBSCAN_CHUNK)
-        f[c], _ = _pinned_resid(sub[c].astype(_LD), p[c], q[c], r[c], sgn[c], P, Q)
-    row, col = np.nonzero(f[:, :-1] * f[:, 1:] <= 0)
-    lo = sub[row, col].astype(_LD)
-    hi = sub[row, col + 1].astype(_LD)
-    flo = f[row, col]
-    p, q, r, sgn = p[row, 0], q[row, 0], r[row, 0], sgn[row, 0]
-
-    alive = np.ones(lo.shape, dtype=bool)
-    for _step in range(90):
-        mid = (lo + hi) / 2
-        fm, _ = _pinned_resid(mid, p, q, r, sgn, P, Q)
-        alive &= ~np.isnan(fm)
-        left = flo * fm <= 0
-        new_lo = np.where(left, lo, mid)
-        new_hi = np.where(left, mid, hi)
-        flo = np.where(left, flo, fm)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break  # every step from here on repeats this one
-        lo, hi = new_lo, new_hi
-    groot = (lo + hi) / 2
-    fr, hroot = _pinned_resid(groot, p, q, r, sgn, P, Q)
+    for _step in range(4):
+        f, _, slope = _pinned_resid(g, p, q, r, sgn, P, Q)
+        g = g - f / slope
+    fr, hroot, _ = _pinned_resid(g, p, q, r, sgn, P, Q)
     hf = hroot.astype(np.float64)
-    gf = groot.astype(np.float64)
+    gf = g.astype(np.float64)
     closest = np.minimum(np.minimum(np.abs(hf), np.abs(gf)), np.abs(hf - gf))
-    keep = alive & (np.abs(fr) <= 1e-16 * (1 + float(Q))) & (closest >= _ENDPOINT_TOL)
+    keep = (np.abs(fr) <= 1e-16 * (1 + float(Q))) & (closest >= _ENDPOINT_TOL)
+    keep &= (gf > 0) & (gf <= np.pi)
     if not keep.any():
         return None
     hf, gf = hf[keep], gf[keep]
@@ -328,7 +315,7 @@ def _certified_overlap_ld(F: float, D: float, d: int, family_rtol: float = _TWO_
     """Certified overlap in longdouble, plus warning flags."""
     if d < 4:
         raise ValueError(
-            "certified_overlap requires d >= 4; at d = 2 use moments.d2_deviation"
+            "certified_overlap requires d >= 4; at d = 2, D = (1 - F)/sqrt(5) is fixed by F"
         )
     flags = CertFlags.NONE
     P2, Q2, P2_raw, Q2_raw = _pq_from_fd_ld(F, D, d)

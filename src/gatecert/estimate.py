@@ -16,7 +16,7 @@ import numpy as np
 
 from .certify import CertFlags, CertificateBundle, certificate_bundle
 from .linalg import UnitaryOperator
-from .moments import single_fidelity
+from .moments import _pq_from_fd_ld, single_fidelity
 
 
 @dataclass(frozen=True)
@@ -146,13 +146,8 @@ def _family_tolerance(result: EstimationResult, d: int) -> float:
     big = d * (d + 1) * (d + 2) * (d + 3)
     dq2_dF = big * 2.0 * result.F_hat - 4.0 * (d + 2) * d * (d + 1)
     sigma_q2 = abs(dq2_dF) * sigma_f + big * sigma_d2
-    q2 = max(
-        big * (max(result.D2_hat, 0.0) + result.F_hat**2)
-        - 2 * d * (d + 3)
-        - 4 * (d + 2) * (d * (d + 1) * result.F_hat - d),
-        1.0,
-    )
-    q = math.sqrt(q2)
+    _, _, _, q2_raw = _pq_from_fd_ld(result.F_hat, result.D_hat, d)
+    q = math.sqrt(max(float(q2_raw), 1.0))
     return 3.0 * sigma_q2 / (2.0 * q * (1.0 + q))
 
 

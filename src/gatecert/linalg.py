@@ -9,9 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 UNITARITY_TOL = 1e-10
-_DET_TOL = 1e-8
-_DET_CHECK_MAX_DIM = 16
-_TRACE_BLOCK_ROWS = 64
 # the Hermitian eigenphase route needs cos(phase) > 0 for every phase of the
 # turned matrix; it asks for cos(phase) > 1/16, because arcsin amplifies the
 # eigvalsh error by 1/cos(phase): at d = 256 and cos = 1e-6 the phases are
@@ -53,10 +50,6 @@ class UnitaryOperator:
             raise UnitarityError(
                 f"unitarity residual {residual:.3e} exceeds {UNITARITY_TOL:.1e}"
             )
-        if m.shape[0] <= _DET_CHECK_MAX_DIM:
-            det_err = abs(abs(np.linalg.det(m)) - 1.0)
-            if det_err > _DET_TOL:
-                raise UnitarityError(f"|det| deviates from 1 by {det_err:.3e}")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -81,14 +74,9 @@ def _trace_ld(a: np.ndarray) -> np.clongdouble:
 
 def _trace_of_square_ld(a: np.ndarray) -> np.clongdouble:
     """tr(A^2) in O(d^2) as sum_ij A_ij A_ji, without forming the product."""
-    # the product buffer is filled in row blocks, so no full extended-precision
-    # copy of `a` is held beside it; its entries and the summation over it are
-    # those of np.sum(al * al.T), bit for bit
-    d = a.shape[0]
-    prod = np.empty((d, d), dtype=np.clongdouble)
-    for i in range(0, d, _TRACE_BLOCK_ROWS):
-        j = i + _TRACE_BLOCK_ROWS
-        np.multiply(a[i:j].astype(np.clongdouble), a[:, i:j].T, out=prod[i:j])
+    # multiplied in place, so one d x d extended-precision array is held
+    prod = a.astype(np.clongdouble)
+    prod *= a.T
     return np.sum(prod)
 
 

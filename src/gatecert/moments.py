@@ -117,7 +117,7 @@ def pq_from_fd(F: float, D: float, d: int) -> PQInvariants:
     if d < 4:
         warnings.warn(
             "pq_from_fd at d < 4: (F, D) are not independent there; "
-            "see d2_deviation",
+            "at d = 2, D = (1 - F)/sqrt(5)",
             stacklevel=2,
         )
     P2, Q2, P2_raw, Q2_raw = _pq_from_fd_ld(F, D, d)
@@ -134,13 +134,6 @@ def single_fidelity(x: UnitaryOperator, psi) -> float:
         raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-10")
     amp = np.vdot(v, x.matrix @ v)
     return min(float(abs(amp) ** 2), 1.0)
-
-
-def d2_deviation(F: float) -> float:
-    """Single-qubit degenerate relation: D = (1 - F) / sqrt(5) for d = 2."""
-    if not (1.0 / 3.0 - 1e-9 <= F <= 1.0 + 1e-12):
-        raise ValueError(f"single-qubit unitary-error fidelity must lie in [1/3, 1], got {F}")
-    return (1.0 - F) / math.sqrt(5.0)
 
 
 _MC_BATCH = 1 << 22  # entries per chunk, keeps memory flat at large d

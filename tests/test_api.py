@@ -19,6 +19,7 @@ REMOVED = (
     "build_qft_pair",
     "build_toffoli_pair",
     "convex_hull",
+    "d2_deviation",
     "distance_origin_to_hull",
     "embed_gate",
     "kron",
@@ -42,6 +43,19 @@ def test_removed_names_are_not_exported():
     for name in REMOVED:
         assert name not in gatecert.__all__
         assert not hasattr(gatecert, name), name
+
+
+def test_removed_constants_stay_removed():
+    # the three-point grid search's knobs, the blocked trace and the |det|
+    # check that the unitarity residual already implies
+    for module, name in (
+        (gatecert.certify, "_PINNED_GRID"),
+        (gatecert.certify, "_SUBSCAN_CHUNK"),
+        (gatecert.linalg, "_TRACE_BLOCK_ROWS"),
+        (gatecert.linalg, "_DET_TOL"),
+        (gatecert.linalg, "_DET_CHECK_MAX_DIM"),
+    ):
+        assert not hasattr(module, name), name
 
 
 def test_linalg_knows_no_qubits():

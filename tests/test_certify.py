@@ -26,9 +26,9 @@ from gatecert.certify import (
     _CLD,
     _ENDPOINT_TOL,
     _LD,
-    _PINNED_GRID,
     _TWO_POINT_RTOL,
     _pinned_max_span,
+    _split_resultant,
     _two_point_span,
 )
 from gatecert.moments import _pq_from_fd_ld
@@ -287,9 +287,11 @@ def test_radicand_clamp_flag_on_inconsistent_data():
 
 
 def _pinned_max_span_scalar(P, Q, d, family_rtol):
-    """The three-point search as one scalar loop per grid interval, sub-scan
-    point and bisection step: the reference that the batched
-    _pinned_max_span must reproduce bit for bit."""
+    """The three-point search as a root search on a 4096-point grid per
+    split, with a scalar sub-scan and bisection of every marked interval: the
+    reference that the algebraic solve of _pinned_max_span must reproduce to
+    1e-12 rad."""
+    grid_points = 4096
     P = _LD(P)
     Q = _LD(Q)
     two_point = _two_point_span(P, Q, d, family_rtol)
@@ -302,7 +304,7 @@ def _pinned_max_span_scalar(P, Q, d, family_rtol):
         if best is None or span > best:
             best = span
 
-    grid = np.linspace(1e-9, np.pi, _PINNED_GRID)
+    grid = np.linspace(1e-9, np.pi, grid_points)
     eg = np.exp(1j * grid)
     eg2 = eg * eg
     resid_floor = 1e-16 * (1 + float(Q))
@@ -354,11 +356,10 @@ def _pinned_max_span_scalar(P, Q, d, family_rtol):
                 w = q + p * eg2 + r * np.exp(2j * h) + t1 * t1
                 resid = np.abs(w) - float(Q)
                 near = np.abs(resid) <= 1e-12 * (1 + float(Q))
-                for i in range(_PINNED_GRID - 1):
-                    if not (in_domain[i] and in_domain[i + 1]):
-                        continue
-                    if resid[i] * resid[i + 1] > 0 and not (near[i] or near[i + 1]):
-                        continue
+                # the intervals with both ends in the domain and a sign change
+                # or a near-zero end
+                skip = (resid[:-1] * resid[1:] > 0) & ~(near[:-1] | near[1:])
+                for i in np.flatnonzero(in_domain[:-1] & in_domain[1:] & ~skip):
                     sub = np.linspace(grid[i], grid[i + 1], 33)
                     prev_g = prev_f = None
                     for gsub in sub:
@@ -383,10 +384,20 @@ def _pq(F, D, d):
     return np.sqrt(P2), np.sqrt(Q2)
 
 
+def _search_reached(F, D, d, margin):
+    """Whether c(F, D) comes from the three-point search: the relaxation
+    root is positive and needs a bulk cosine of at least 1 + margin."""
+    P, Q = _pq(F, D, d)
+    rad = (d - 2) * (d * Q + d * d - (d + 2) * P * P)
+    if rad < 0:
+        return False
+    b = P / d - np.sqrt(rad) / (2 * d)
+    return b > 0 and (P - 2 * b) / (d - 2) >= 1 + margin
+
+
 def _three_point_spectrum(rng, d):
-    """Bulk at 1 plus two clusters at angles in [-1.2, 1.2] whose relaxation
-    root is positive and needs a bulk cosine of at least 1 + 1e-6, so that
-    c(F, D) comes from the three-point search."""
+    """Bulk at 1 plus two clusters at angles in [-1.2, 1.2] for which c(F, D)
+    comes from the three-point search, with a bulk-cosine margin of 1e-6."""
     top = max(1, d // 4)
     while True:
         n1, n2 = (int(v) for v in rng.integers(1, top + 1, size=2))
@@ -395,48 +406,71 @@ def _three_point_spectrum(rng, d):
             continue
         phases = np.repeat([0.0, h, k], [d - n1 - n2, n1, n2])
         F, D = _spectrum_fd(phases)
-        P, Q = _pq(F, D, d)
-        rad = (d - 2) * (d * Q + d * d - (d + 2) * P * P)
-        if rad < 0:
-            continue
-        b = P / d - np.sqrt(rad) / (2 * d)
-        if b > 0 and (P - 2 * b) / (d - 2) >= 1 + 1e-6:
+        if _search_reached(F, D, d, 1e-6):
             return phases, F, D
 
 
+def _assert_matches_oracle(P, Q, d, tol=1e-12):
+    span = _pinned_max_span(P, Q, d, _TWO_POINT_RTOL)
+    oracle = _pinned_max_span_scalar(P, Q, d, _TWO_POINT_RTOL)
+    assert (span is None) == (oracle is None)
+    if span is not None:
+        assert abs(span - oracle) <= tol
+    return span
+
+
 def test_pinned_search_matches_scalar_oracle():
-    # batching changes no arithmetic: every span is the oracle's bits
-    for d, count in ((4, 8), (8, 6), (16, 3), (24, 2)):
-        rng = np.random.default_rng([2024, d])
-        for _ in range(count):
-            _, F, D = _three_point_spectrum(rng, d)
-            P, Q = _pq(F, D, d)
-            span = _pinned_max_span(P, Q, d, _TWO_POINT_RTOL)
-            assert span is not None
-            assert span == _pinned_max_span_scalar(P, Q, d, _TWO_POINT_RTOL)
+    for d in (4, 8, 16, 24):
+        for seed in range(6):
+            rng = np.random.default_rng([seed, d])
+            for _ in range(4):
+                _, F, D = _three_point_spectrum(rng, d)
+                assert _assert_matches_oracle(*_pq(F, D, d), d) is not None
 
 
 def test_pinned_search_two_point_and_no_bracket():
     for d, gap, p in ((4, 0.7, 1), (8, 1.3, 3), (8, 0.4, 2), (16, 0.4, 5)):
         F, D = _spectrum_fd(np.repeat([0.0, gap], [d - p, p]))
-        P, Q = _pq(F, D, d)
-        span = _pinned_max_span(P, Q, d, _TWO_POINT_RTOL)
+        span = _assert_matches_oracle(*_pq(F, D, d), d)
         assert span == pytest.approx(gap, abs=1e-9)
-        assert span == _pinned_max_span_scalar(P, Q, d, _TWO_POINT_RTOL)
         if d > 8:
             continue
         # just off the family the search runs, through the tangential
         # valleys around it
-        for rel in (-1e-9, 1e-9):
-            P, Q = _pq(F, D * (1 + rel), d)
-            span = _pinned_max_span(P, Q, d, _TWO_POINT_RTOL)
-            assert span == _pinned_max_span_scalar(P, Q, d, _TWO_POINT_RTOL)
+        for rel in (-1e-6, -1e-9, 1e-9, 1e-6):
+            _assert_matches_oracle(*_pq(F, D * (1 + rel), d), d)
     # Q = 0 is off every two-point family and the residual |w| - Q never
-    # changes sign: no bracket, no span
+    # changes sign: no root, no span
     for d in (4, 8):
         P = _LD(d - 0.5)
-        assert _pinned_max_span(P, _LD(0), d, _TWO_POINT_RTOL) is None
-        assert _pinned_max_span_scalar(P, _LD(0), d, _TWO_POINT_RTOL) is None
+        assert _assert_matches_oracle(P, _LD(0), d) is None
+
+
+def test_pinned_search_near_identity():
+    # many small phases: the roots of R cluster within about 1e-4 of
+    # cos g = 1, which interpolation on all of [-1, 1] does not resolve but
+    # nodes on each split's own interval do. The residual is flat there, so
+    # the polished and the bisected roots agree to 1e-8 rad, not 1e-12
+    rng = np.random.default_rng(1)
+    done = 0
+    while done < 40:
+        d = int(rng.integers(4, 9))
+        F, D = _spectrum_fd(rng.uniform(-1.5, 1.5) * rng.random(d) ** 3)
+        if _search_reached(F, D, d, 1e-9):
+            _assert_matches_oracle(*_pq(F, D, d), d, tol=1e-8)
+            done += 1
+
+
+def test_split_resultant_is_degree_six_in_cos_g():
+    # the 7-node interpolant reproduces the resultant everywhere on [-1, 1]
+    nodes = np.cos((np.arange(7) + 0.5) * np.pi / 7)
+    other = np.cos((np.arange(25) + 0.5) * np.pi / 25)
+    for d, p, q, P, Q in ((4, 1, 1, 3.5, 11.0), (8, 2, 5, 7.2, 60.0),
+                          (16, 5, 3, 12.0, 150.0), (24, 1, 20, 23.9, 590.0)):
+        r = d - p - q
+        coef = np.polyfit(nodes, _split_resultant(nodes, p, q, r, P * P, Q * Q), 6)
+        exact = _split_resultant(other, p, q, r, P * P, Q * Q)
+        assert np.abs(np.polyval(coef, other) - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 def test_bundle_b_fd_equals_bound_fd_bitwise():
@@ -487,8 +521,8 @@ def test_pinned_search_against_constrained_optimization():
     # the three-point search claims the global optimum over all spectra: a
     # general optimizer finds the same spread and nothing wider, and the
     # generating spectrum's exact diamond distance stays below the certificate
-    for d in (4, 8):
-        for seed in range(6):
+    for d, seeds in ((4, range(6)), (8, range(6)), (16, range(2))):
+        for seed in seeds:
             rng = np.random.default_rng([seed, d])
             phases, F, D = _three_point_spectrum(rng, d)
             P, Q = _pq(F, D, d)

@@ -63,6 +63,16 @@ def test_unitary_operator_validation():
         UnitaryOperator(np.full((2, 2), np.nan))
 
 
+def test_unitarity_residual_alone_decides_at_d16():
+    # (1 + delta) U has residual 2 delta + delta^2 on the diagonal; |det| is
+    # then off by about 16 delta, so no separate determinant check can fire
+    u = haar_random_unitary(16, np.random.default_rng(6))
+    below = UnitaryOperator((1 + 0.49e-10) * u)
+    assert 0.9e-10 < below.unitarity_residual <= 1e-10
+    with pytest.raises(UnitarityError, match="unitarity residual"):
+        UnitaryOperator((1 + 0.51e-10) * u)
+
+
 def test_unitary_operator_immutable():
     u = UnitaryOperator(np.eye(2))
     with pytest.raises(AttributeError):
@@ -140,7 +150,7 @@ def test_eigenvalues_fallback_is_general_solver(case):
     assert np.array_equal(eigenvalues_unitary(u), np.linalg.eigvals(u.matrix))
 
 
-@pytest.mark.parametrize("d", [2, 3, 8, 33, 1024])
+@pytest.mark.parametrize("d", [2, 3, 8, 33, 100, 1024])
 def test_blocked_trace_of_square_is_bit_identical(d):
     a = random_matrix(np.random.default_rng(d), d)
     al = a.astype(np.clongdouble)

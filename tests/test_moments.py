@@ -7,7 +7,6 @@ from gatecert import (
     UnitaryOperator,
     build_cz_error,
     build_model_error,
-    d2_deviation,
     fd_from_unitary,
     haar_mc_moments,
     haar_random_unitary,
@@ -108,13 +107,6 @@ def test_single_fidelity_rejects_unnormalized():
     x = UnitaryOperator(np.eye(2))
     with pytest.raises(ValueError):
         single_fidelity(x, np.array([1.0, 1.0]))
-
-
-def test_d2_deviation_values():
-    assert d2_deviation(1.0) == 0.0
-    assert d2_deviation(0.9) == pytest.approx(0.044721359549995794)
-    with pytest.raises(ValueError):
-        d2_deviation(0.2)
 
 
 def test_d2_collapse_on_random_unitaries():
