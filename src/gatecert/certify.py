@@ -125,16 +125,15 @@ def diamond_exact(x: UnitaryOperator) -> float:
     return math.sin(arc / 2) if arc < math.pi else 1.0
 
 
-def bound_fidelity_only(r: float, d: int, clamp: bool = True) -> float:
-    """Fidelity-only conversion: sqrt(d (d+1) r)."""
+def bound_fidelity_only(r: float, d: int) -> float:
+    """Fidelity-only conversion: sqrt(d (d+1) r), unclamped."""
     if not -1e-12 <= r <= 1.0 + 1e-12:
         raise ValueError(f"infidelity r must lie in [0, 1], got {r}")
-    raw = math.sqrt(d * (d + 1) * max(r, 0.0))
-    return min(raw, 1.0) if clamp else raw
+    return math.sqrt(d * (d + 1) * max(r, 0.0))
 
 
-def bound_ru(r: float, u: float, d: int, clamp: bool = True) -> float:
-    """Unitarity-assisted bound: d^2 c_d sqrt(u + 2dr/(d-1) - 1)."""
+def bound_ru(r: float, u: float, d: int) -> float:
+    """Unitarity-assisted bound: d^2 c_d sqrt(u + 2dr/(d-1) - 1), unclamped."""
     if not -1e-12 <= r <= 1.0 + 1e-12:
         raise ValueError(f"infidelity r must lie in [0, 1], got {r}")
     # grouped as (u - 1) + ... : u + ... - 1 cancels catastrophically at u = 1
@@ -144,8 +143,7 @@ def bound_ru(r: float, u: float, d: int, clamp: bool = True) -> float:
             f"(r, u) = ({r}, {u}) are inconsistent: negative radicand {radicand:.3e}"
         )
     c_d = 0.5 * math.sqrt(1.0 - 1.0 / d**2)
-    raw = d * d * c_d * math.sqrt(max(radicand, 0.0))
-    return min(raw, 1.0) if clamp else raw
+    return d * d * c_d * math.sqrt(max(radicand, 0.0))
 
 
 def _two_point_span(P, Q, d: int, family_rtol: float):
@@ -353,14 +351,6 @@ def bound_fd(F: float, D: float, d: int) -> float:
     return _bound_from_overlap(c)
 
 
-def bound_hybrid(b_ru: float | None = None, b_fd: float | None = None) -> float:
-    """Regime-adaptive certificate: minimum of the supplied upper bounds."""
-    present = [b for b in (b_ru, b_fd) if b is not None]
-    if not present:
-        raise ValueError("bound_hybrid needs at least one bound")
-    return min(present)
-
-
 def tightness_witness(F: float, D: float, d: int) -> UnitaryOperator:
     """Two-angle diagonal unitary attaining c(F, D) with the observed moments.
 
@@ -410,19 +400,18 @@ def certificate_bundle(
     flags |= extra_flags
     b_fd_val = _bound_from_overlap(c)
 
-    bf_raw = bound_fidelity_only(r, d, clamp=False)
+    bf_raw = bound_fidelity_only(r, d)
     if bf_raw > 1.0:
         flags |= CertFlags.BOUND_CLAMPED
     bf = min(bf_raw, 1.0)
 
     bru = bru_raw = None
     if u is not None:
-        bru_raw = bound_ru(r, u, d, clamp=False)
+        bru_raw = bound_ru(r, u, d)
         if bru_raw > 1.0:
             flags |= CertFlags.BOUND_CLAMPED
         bru = min(bru_raw, 1.0)
 
-    hybrid = bound_hybrid(b_ru=bru, b_fd=b_fd_val)
     winner = "fd" if bru is None or b_fd_val <= bru else "ru"
 
     d_exact = diamond_exact(x) if x is not None else None
@@ -432,7 +421,7 @@ def certificate_bundle(
         b_fidelity_only=bf,
         b_ru=bru,
         b_fd=b_fd_val,
-        b_hybrid=hybrid,
+        b_hybrid=b_fd_val if winner == "fd" else bru,
         c_value=float(c),
         b_fidelity_only_raw=bf_raw,
         b_ru_raw=bru_raw,

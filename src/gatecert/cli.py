@@ -218,10 +218,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"gatecert: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"gatecert: error: {exc}", file=sys.stderr)
         return 1
     except EigensolverError as exc:

@@ -1,10 +1,11 @@
 """Simulation of the randomized survival-probability protocol and the
 unbiased moment estimators.
 
-For each of M Haar-random input states the protocol draws a binomial pass
-count K_i ~ Bin(N, f_i); the estimators use the factorial-moment correction
-K(K-1)/(N(N-1)) for the second moment and a pairwise cross-average for F^2,
-both unbiased under shot noise.
+The protocol's data is one pass count per random input: for each of M
+Haar-random input states it draws K_i ~ Bin(N, f_i), all at one shot count N.
+The estimators take that count vector and N; they use the factorial-moment
+correction K(K-1)/(N(N-1)) for the second moment and a pairwise
+cross-average for F^2, both unbiased under shot noise.
 """
 
 from __future__ import annotations
@@ -17,21 +18,6 @@ import numpy as np
 from .certify import CertFlags, CertificateBundle, certificate_bundle
 from .linalg import UnitaryOperator
 from .moments import _pq_from_fd_ld, single_fidelity
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """One randomized input: pass count out of N shots. true_f is the exact
-    survival probability, kept for white-box tests only; it must never be
-    serialized for black-box consumers."""
-
-    pass_count: int
-    shots: int
-    true_f: float
-
-    def __post_init__(self):
-        if not 0 <= self.pass_count <= self.shots:
-            raise ValueError("pass count must lie in [0, shots]")
 
 
 @dataclass(frozen=True)
@@ -68,48 +54,43 @@ def sample_haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def simulate_protocol(
-    x: UnitaryOperator, M: int, N: int, seed: int
-) -> list[ShotRecord]:
-    """Draw M Haar-random states and binomial pass counts for the error x.
+def simulate_protocol(x: UnitaryOperator, M: int, N: int, seed: int) -> list[int]:
+    """Pass counts out of N shots for M Haar-random states under the error x.
 
     Fully deterministic for fixed (x, M, N, seed); state i uses the
-    substream keyed by (seed, i).
+    substream keyed by (seed, i), so the first m counts do not depend on M.
     """
     if M < 2:
         raise ValueError(f"need at least 2 random states, got M={M}")
     if N < 2:
         raise ValueError(f"need at least 2 shots per state, got N={N}")
     d = x.dim
-    records = []
+    counts = []
     for i in range(M):
         rng = substream(seed, i)
-        psi = sample_haar_state(d, rng)
-        f = single_fidelity(x, psi)
-        k = int(rng.binomial(N, f))
-        records.append(ShotRecord(pass_count=k, shots=N, true_f=f))
-    return records
+        f = single_fidelity(x, sample_haar_state(d, rng))
+        counts.append(int(rng.binomial(N, f)))
+    return counts
 
 
-def estimate_moments(
-    records: list[ShotRecord], seed: int | None = None
-) -> EstimationResult:
-    """Unbiased (F, E2, F^2, D^2) estimators from shot records.
+def estimate_moments(counts, N: int, seed: int | None = None) -> EstimationResult:
+    """Unbiased (F, E2, F^2, D^2) estimators from pass counts out of N shots.
 
     F_hat averages K/N; E2_hat averages the factorial-moment corrected
     K(K-1)/(N(N-1)); F2_hat is the pairwise cross-average, computed stably as
     ((sum f)^2 - sum f^2) / (M (M-1)).
     """
-    m = len(records)
+    k = np.asarray(counts)
+    m = len(k)
     if m < 2:
-        raise ValueError("need at least 2 records")
-    shots = {rec.shots for rec in records}
-    if len(shots) != 1:
-        raise ValueError("records must share a common shot count")
-    n = shots.pop()
-    k = np.array([rec.pass_count for rec in records], dtype=float)
-    f_hat = k / n
-    fi2 = k * (k - 1.0) / (n * (n - 1.0))
+        raise ValueError(f"need at least 2 pass counts, got {m}")
+    if N < 2:
+        raise ValueError(f"need at least 2 shots per state, got N={N}")
+    if k.dtype.kind not in "iu" or k.min() < 0 or k.max() > N:
+        raise ValueError(f"pass counts must be integers in [0, N={N}]")
+    k = k.astype(float)
+    f_hat = k / N
+    fi2 = k * (k - 1.0) / (N * (N - 1.0))
     F_hat = float(f_hat.mean())
     E2_hat = float(fi2.mean())
     s = float(f_hat.sum())
@@ -118,7 +99,7 @@ def estimate_moments(
     truncated = D2_hat < 0.0
     return EstimationResult(
         M=m,
-        N=n,
+        N=N,
         seed=seed,
         F_hat=F_hat,
         E2_hat=E2_hat,
@@ -131,7 +112,7 @@ def estimate_moments(
 
 def run_protocol(x: UnitaryOperator, M: int, N: int, seed: int) -> EstimationResult:
     """simulate_protocol followed by estimate_moments, seed recorded."""
-    return estimate_moments(simulate_protocol(x, M, N, seed), seed=seed)
+    return estimate_moments(simulate_protocol(x, M, N, seed), N, seed=seed)
 
 
 def _family_tolerance(result: EstimationResult, d: int) -> float:
@@ -151,9 +132,7 @@ def _family_tolerance(result: EstimationResult, d: int) -> float:
     return 3.0 * sigma_q2 / (2.0 * q * (1.0 + q))
 
 
-def certify_from_estimates(
-    result: EstimationResult, d: int, u: float | None = None
-) -> CertificateBundle:
+def certify_from_estimates(result: EstimationResult, d: int) -> CertificateBundle:
     """Plug the estimated (F_hat, D_hat) into the certificate bounds.
 
     Family membership inside the moment-assisted certificate is decided at
@@ -167,7 +146,6 @@ def certify_from_estimates(
         d,
         F=result.F_hat,
         D=result.D_hat,
-        u=u,
         extra_flags=extra,
         family_rtol=_family_tolerance(result, d),
     )

@@ -178,9 +178,7 @@ def check_u1_collapse_ratio(full: bool):
         target = d / math.sqrt(2.0)
         for kappa in (1e-6, 1e-3, 0.5, 0.99):
             r = kappa / (d * (d + 1.0))
-            ratio = certify.bound_ru(r, 1.0, d, clamp=False) / certify.bound_fidelity_only(
-                r, d, clamp=False
-            )
+            ratio = certify.bound_ru(r, 1.0, d) / certify.bound_fidelity_only(r, d)
             worst = max(worst, abs(ratio - target) / target)
     return worst <= 1e-12, (
         f"max relative err of b_ru/b_fidelity_only = d/sqrt(2) at u = 1: {worst:.2e} (tol 1e-12)"

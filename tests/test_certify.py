@@ -11,7 +11,6 @@ from gatecert import (
     UnitaryOperator,
     bound_fd,
     bound_fidelity_only,
-    bound_hybrid,
     bound_ru,
     build_cz_error,
     build_model_error,
@@ -98,8 +97,7 @@ def test_diamond_exact_high_fidelity_references():
 def test_bound_fidelity_only_values():
     assert bound_fidelity_only(0.0, 4) == 0.0
     assert bound_fidelity_only(0.01, 4) == pytest.approx(0.4472135954999579)
-    assert bound_fidelity_only(0.9, 4) == 1.0  # clamped
-    assert bound_fidelity_only(0.9, 4, clamp=False) > 1.0
+    assert bound_fidelity_only(0.9, 4) > 1.0  # raw; certificate_bundle clamps
     with pytest.raises(ValueError):
         bound_fidelity_only(1.5, 4)
 
@@ -115,9 +113,7 @@ def test_bound_ru_u1_collapse_ratio():
     for d in (2, 4, 8, 1024):
         target = d / math.sqrt(2.0)
         for r in (1e-8, 1e-5, 0.3 / (d * (d + 1))):
-            ratio = bound_ru(r, 1.0, d, clamp=False) / bound_fidelity_only(
-                r, d, clamp=False
-            )
+            ratio = bound_ru(r, 1.0, d) / bound_fidelity_only(r, d)
             assert abs(ratio - target) <= 1e-12 * target
 
 
@@ -158,13 +154,6 @@ def test_bound_fd_qft_orderings():
     assert diamond_exact(x) <= b_fd + 1e-9
     if b_fd > bound_fidelity_only(s.r, 16):
         warnings.warn("moment-assisted bound looser than fidelity-only at this point")
-
-
-def test_bound_hybrid():
-    with pytest.raises(ValueError):
-        bound_hybrid()
-    assert bound_hybrid(b_fd=0.3) == 0.3
-    assert bound_hybrid(b_ru=0.1, b_fd=0.3) == 0.1
 
 
 def test_hybrid_selects_fd_in_coherent_regime():
@@ -286,28 +275,40 @@ def test_radicand_clamp_flag_on_inconsistent_data():
     assert bundle.flags & (CertFlags.P2_CLAMPED | CertFlags.Q2_CLAMPED)
 
 
-def _pinned_max_span_scalar(P, Q, d, family_rtol):
+def _grid_resid(g, p, q, r, sgn, P, Q):
+    """(|tr X^2 + (tr X)^2| - Q, h) in extended precision at the longdouble
+    angles g, for the spectrum with q atoms at 0, p at g and r at h, where h
+    is the sgn branch of the angle that makes |tr X| = P; the residual is NaN
+    where no such h exists. p, q, r and sgn broadcast against g."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Ag = q + p * np.exp(1j * g.astype(_CLD))
+        aAg = np.abs(Ag)
+        cd = (P * P - aAg * aAg - r * r) / (2 * r * aAg)
+        ok = (aAg > 1e-12) & (cd >= -1) & (cd <= 1)
+        hg = np.angle(Ag) + sgn * np.arccos(cd)
+        t1g = Ag + r * np.exp(1j * hg.astype(_CLD))
+        wg = q + p * np.exp(2j * g.astype(_CLD)) + r * np.exp(2j * hg.astype(_CLD)) + t1g * t1g
+        return np.where(ok, np.abs(wg) - Q, np.nan), hg
+
+
+def _pinned_max_span_grid(P, Q, d, family_rtol):
     """The three-point search as a root search on a 4096-point grid per
-    split, with a scalar sub-scan and bisection of every marked interval: the
-    reference that the algebraic solve of _pinned_max_span must reproduce to
-    1e-12 rad."""
+    split, with a 33-point sub-scan and a 90-step bisection of every marked
+    interval: the reference that the algebraic solve of _pinned_max_span
+    must reproduce to 1e-12 rad. The float64 grid runs per split; the
+    extended-precision sub-scan of every marked interval is one call, and
+    each bisection step runs over all brackets at once."""
     grid_points = 4096
     P = _LD(P)
     Q = _LD(Q)
     two_point = _two_point_span(P, Q, d, family_rtol)
     if two_point is not None:
         return two_point
-    best = None
-
-    def consider(span):
-        nonlocal best
-        if best is None or span > best:
-            best = span
 
     grid = np.linspace(1e-9, np.pi, grid_points)
     eg = np.exp(1j * grid)
     eg2 = eg * eg
-    resid_floor = 1e-16 * (1 + float(Q))
+    marked = []  # (p, q, r, sgn, i) per marked grid interval [grid[i], grid[i + 1]]
     for p in range(1, d - 1):
         for q in range(1, d - p):
             r = d - p - q
@@ -316,40 +317,6 @@ def _pinned_max_span_scalar(P, Q, d, family_rtol):
             cos_gap = (float(P * P) - aA * aA - r * r) / (2.0 * r * aA)
             in_domain = (np.abs(cos_gap) <= 1.0) & (aA > 1e-12)
             for sgn in (1.0, -1.0):
-
-                def resid_ld(g):
-                    Ag = q + p * np.exp(1j * _CLD(g))
-                    aAg = np.abs(Ag)
-                    if aAg <= 1e-12:
-                        return None, None
-                    cd = (P * P - aAg * aAg - r * r) / (2 * r * aAg)
-                    if not -1 <= cd <= 1:
-                        return None, None
-                    hg = np.angle(Ag) + _LD(sgn) * np.arccos(cd)
-                    t1g = Ag + r * np.exp(1j * _CLD(hg))
-                    wg = q + p * np.exp(2j * _CLD(g)) + r * np.exp(2j * _CLD(hg)) + t1g * t1g
-                    return np.abs(wg) - Q, hg
-
-                def refine(lo, hi, flo):
-                    for _ in range(90):
-                        mid = (lo + hi) / 2
-                        fm, _ = resid_ld(mid)
-                        if fm is None:
-                            return
-                        if flo * fm <= 0:
-                            hi = mid
-                        else:
-                            lo, flo = mid, fm
-                    groot = (lo + hi) / 2
-                    fr, hroot = resid_ld(groot)
-                    if fr is None or abs(fr) > resid_floor:
-                        return
-                    hf, gf = float(hroot), float(groot)
-                    if min(abs(hf), abs(gf), abs(hf - gf)) < _ENDPOINT_TOL:
-                        return
-                    angles = (0.0, hf, gf)
-                    consider(max(angles) - min(angles))
-
                 with np.errstate(invalid="ignore"):
                     h = np.angle(A) + sgn * np.arccos(np.clip(cos_gap, -1.0, 1.0))
                 t1 = A + r * np.exp(1j * h)
@@ -360,17 +327,36 @@ def _pinned_max_span_scalar(P, Q, d, family_rtol):
                 # or a near-zero end
                 skip = (resid[:-1] * resid[1:] > 0) & ~(near[:-1] | near[1:])
                 for i in np.flatnonzero(in_domain[:-1] & in_domain[1:] & ~skip):
-                    sub = np.linspace(grid[i], grid[i + 1], 33)
-                    prev_g = prev_f = None
-                    for gsub in sub:
-                        fsub, _ = resid_ld(_LD(gsub))
-                        if fsub is None:
-                            prev_g = prev_f = None
-                            continue
-                        if prev_f is not None and prev_f * fsub <= 0:
-                            refine(prev_g, _LD(gsub), prev_f)
-                        prev_g, prev_f = _LD(gsub), fsub
-    return best
+                    marked.append((p, q, r, sgn, i))
+    if not marked:
+        return None
+    p, q, r, sgn, i = (np.array(v)[:, None] for v in zip(*marked))
+
+    # sub-scan: brackets between consecutive sub-points that both have an h
+    sub = np.linspace(grid[i[:, 0]], grid[i[:, 0] + 1], 33, axis=-1).astype(_LD)
+    f, _ = _grid_resid(sub, p, q, r, sgn, P, Q)
+    ends = (f[:, :-1] * f[:, 1:] <= 0) & ~np.isnan(f[:, :-1]) & ~np.isnan(f[:, 1:])
+    row, col = np.nonzero(ends)
+    lo, hi, flo = sub[row, col], sub[row, col + 1], f[row, col]
+    p, q, r, sgn = (v[row, 0] for v in (p, q, r, sgn))
+
+    alive = np.ones(lo.shape, dtype=bool)
+    for _ in range(90):
+        mid = (lo + hi) / 2
+        fm, _ = _grid_resid(mid, p, q, r, sgn, P, Q)
+        alive &= ~np.isnan(fm)
+        left = flo * fm <= 0
+        hi = np.where(left, mid, hi)
+        lo, flo = np.where(left, lo, mid), np.where(left, flo, fm)
+    groot = (lo + hi) / 2
+    fr, hroot = _grid_resid(groot, p, q, r, sgn, P, Q)
+    hf, gf = hroot.astype(np.float64), groot.astype(np.float64)
+    closest = np.minimum(np.minimum(np.abs(hf), np.abs(gf)), np.abs(hf - gf))
+    keep = alive & (np.abs(fr) <= 1e-16 * (1 + float(Q))) & (closest >= _ENDPOINT_TOL)
+    if not keep.any():
+        return None
+    hf, gf = hf[keep], gf[keep]
+    return float((np.maximum(np.maximum(hf, gf), 0.0) - np.minimum(np.minimum(hf, gf), 0.0)).max())
 
 
 def _spectrum_fd(phases):
@@ -412,7 +398,7 @@ def _three_point_spectrum(rng, d):
 
 def _assert_matches_oracle(P, Q, d, tol=1e-12):
     span = _pinned_max_span(P, Q, d, _TWO_POINT_RTOL)
-    oracle = _pinned_max_span_scalar(P, Q, d, _TWO_POINT_RTOL)
+    oracle = _pinned_max_span_grid(P, Q, d, _TWO_POINT_RTOL)
     assert (span is None) == (oracle is None)
     if span is not None:
         assert abs(span - oracle) <= tol

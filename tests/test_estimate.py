@@ -5,15 +5,16 @@ import pytest
 
 from gatecert import (
     CertFlags,
-    ShotRecord,
     UnitaryOperator,
     build_cz_error,
+    build_model_error,
     certify_from_estimates,
     estimate_moments,
     fd_from_unitary,
     run_protocol,
     sample_haar_state,
     simulate_protocol,
+    single_fidelity,
     substream,
 )
 
@@ -41,8 +42,7 @@ def test_sample_haar_state_first_moment():
 
 def test_simulate_identity_all_pass():
     x = UnitaryOperator(np.eye(4))
-    records = simulate_protocol(x, M=50, N=200, seed=9)
-    assert all(rec.pass_count == rec.shots for rec in records)
+    assert simulate_protocol(x, M=50, N=200, seed=9) == [200] * 50
 
 
 def test_simulate_determinism():
@@ -52,6 +52,20 @@ def test_simulate_determinism():
     assert a == b
     c = simulate_protocol(x, M=40, N=100, seed=43)
     assert a != c
+
+
+def test_simulate_protocol_matches_per_state_draws():
+    # the counts are exactly one binomial draw per state, each from its own
+    # substream right after that state's Haar draw
+    seed, m_states, n_shots = 3, 64, 1000
+    for model, param, n in (("toffoli", 0.1, None), ("qft", 0.05, 3)):
+        x = build_model_error(model, param, n)
+        expected = []
+        for i in range(m_states):
+            rng = substream(seed, i)
+            f = single_fidelity(x, sample_haar_state(x.dim, rng))
+            expected.append(int(rng.binomial(n_shots, f)))
+        assert simulate_protocol(x, m_states, n_shots, seed) == expected
 
 
 def test_substream_extension_stability():
@@ -72,14 +86,18 @@ def test_simulate_input_validation():
         substream(-1, 0)
 
 
-def test_shot_record_validation():
+def test_estimator_rejects_invalid_counts():
+    # one shot per state leaves K(K-1)/(N(N-1)) at 0/0: NaN moments, not an
+    # estimate
     with pytest.raises(ValueError):
-        ShotRecord(pass_count=5, shots=4, true_f=0.5)
+        estimate_moments([1, 0], 1)
+    for counts in ([1.5, 2], [5, 2], [-1, 2], np.array([1.0, 2.0])):
+        with pytest.raises(ValueError):
+            estimate_moments(counts, 4)
 
 
 def test_estimators_all_pass():
-    records = [ShotRecord(10, 10, 1.0)] * 4
-    res = estimate_moments(records)
+    res = estimate_moments([10] * 4, 10)
     assert res.F_hat == 1.0
     assert res.E2_hat == 1.0
     assert res.F2_hat == pytest.approx(1.0)
@@ -89,8 +107,7 @@ def test_estimators_all_pass():
 
 def test_estimators_hand_computed_pair():
     # M=2, N=4, K=(3,2): each formula evaluated by hand
-    records = [ShotRecord(3, 4, 0.7), ShotRecord(2, 4, 0.6)]
-    res = estimate_moments(records)
+    res = estimate_moments([3, 2], 4)
     assert res.F_hat == pytest.approx(0.625)
     assert res.E2_hat == pytest.approx(1.0 / 3.0)
     assert res.F2_hat == pytest.approx(0.375)
@@ -101,31 +118,25 @@ def test_estimators_hand_computed_pair():
 
 def test_estimator_input_validation():
     with pytest.raises(ValueError):
-        estimate_moments([ShotRecord(1, 4, 0.5)])
-    with pytest.raises(ValueError):
-        estimate_moments([ShotRecord(1, 4, 0.5), ShotRecord(1, 5, 0.5)])
+        estimate_moments([1], 4)
 
 
 def test_factorial_moment_identity():
     # K(K-1)/(N(N-1)) averaged equals (N fhat^2 - fhat)/(N-1) averaged
     x = build_cz_error(0.4)
-    records = simulate_protocol(x, M=100, N=25, seed=3)
-    res = estimate_moments(records)
     n = 25
-    alt = np.mean(
-        [
-            (n * (rec.pass_count / n) ** 2 - rec.pass_count / n) / (n - 1)
-            for rec in records
-        ]
-    )
+    counts = simulate_protocol(x, M=100, N=n, seed=3)
+    res = estimate_moments(counts, n)
+    f = np.array(counts) / n
+    alt = np.mean((n * f**2 - f) / (n - 1))
     assert abs(res.E2_hat - alt) <= 1e-14
 
 
 def test_cross_average_identity_vs_double_sum():
     x = build_cz_error(0.4)
-    records = simulate_protocol(x, M=60, N=30, seed=5)
-    res = estimate_moments(records)
-    f = np.array([rec.pass_count / rec.shots for rec in records])
+    counts = simulate_protocol(x, M=60, N=30, seed=5)
+    res = estimate_moments(counts, 30)
+    f = np.array(counts) / 30
     m = len(f)
     double = sum(
         f[i] * f[j] for i in range(m) for j in range(m) if i != j
@@ -181,14 +192,9 @@ def test_naive_second_moment_bias_is_visible():
     seeds, m_states, n_shots = 2000, 200, 20
     gaps = np.empty(seeds)
     for i in range(seeds):
-        records = simulate_protocol(x, m_states, n_shots, seed=20_000 + i)
-        f = np.array([rec.pass_count / rec.shots for rec in records])
-        fi2 = np.array(
-            [
-                rec.pass_count * (rec.pass_count - 1) / (n_shots * (n_shots - 1))
-                for rec in records
-            ]
-        )
+        k = np.array(simulate_protocol(x, m_states, n_shots, seed=20_000 + i))
+        f = k / n_shots
+        fi2 = k * (k - 1) / (n_shots * (n_shots - 1))
         gaps[i] = (f**2).mean() - fi2.mean()
     expected = (s.F - s.E2) / n_shots
     assert abs(gaps.mean() - expected) <= 0.3 * expected
@@ -204,15 +210,14 @@ def test_certify_from_estimates_perfect_data():
 
 
 def test_certify_from_estimates_truncation_flag():
-    records = [ShotRecord(3, 4, 0.7), ShotRecord(2, 4, 0.6)]
-    res = estimate_moments(records)
+    res = estimate_moments([3, 2], 4)
     assert res.truncated
     bundle = certify_from_estimates(res, 4)
     assert bundle.flags & CertFlags.D_TRUNCATED
 
 
 def test_certify_from_estimates_requires_d4():
-    res = estimate_moments([ShotRecord(4, 4, 1.0), ShotRecord(4, 4, 1.0)])
+    res = estimate_moments([4, 4], 4)
     with pytest.raises(ValueError):
         certify_from_estimates(res, 2)
 
