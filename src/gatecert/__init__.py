@@ -29,8 +29,7 @@ from .gates import (
     build_model_error,
     circuit_unitary,
     error_unitary,
-    ideal_gate,
-    overrotated_gate,
+    gate_matrix,
     qft_circuit,
     toffoli_circuit,
 )
@@ -39,8 +38,6 @@ from .linalg import (
     UnitarityError,
     UnitaryOperator,
     eigenvalues_unitary,
-    exp_involutory,
-    exp_projector_squared,
     haar_random_unitary,
 )
 from .moments import (
@@ -80,14 +77,11 @@ __all__ = [
     "eigenvalues_unitary",
     "error_unitary",
     "estimate_moments",
-    "exp_involutory",
-    "exp_projector_squared",
     "fd_from_unitary",
+    "gate_matrix",
     "haar_mc_moments",
     "haar_random_unitary",
-    "ideal_gate",
     "min_overlap_exact",
-    "overrotated_gate",
     "pq_from_fd",
     "qft_circuit",
     "run_protocol",

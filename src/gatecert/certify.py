@@ -309,12 +309,24 @@ def _bound_from_overlap(c) -> float:
     return float(np.sqrt(np.maximum((_LD_ONE - c) * (_LD_ONE + c), _LD_ZERO)))
 
 
+def _check_fd(F: float, D: float) -> None:
+    """Reject (F, D) that no error can produce: non-finite values, F outside
+    [0, 1] beyond the 1e-12 rounding slack, or a negative D."""
+    if not (math.isfinite(F) and math.isfinite(D)):
+        raise ValueError(f"F and D must be finite, got F = {F}, D = {D}")
+    if not 0.0 <= F <= 1.0 + 1e-12:
+        raise ValueError(f"fidelity F must lie in [0, 1], got {F}")
+    if D < 0:
+        raise ValueError(f"deviation D must be nonnegative, got {D}")
+
+
 def _certified_overlap_ld(F: float, D: float, d: int, family_rtol: float = _TWO_POINT_RTOL):
     """Certified overlap in longdouble, plus warning flags."""
     if d < 4:
         raise ValueError(
             "certified_overlap requires d >= 4; at d = 2, D = (1 - F)/sqrt(5) is fixed by F"
         )
+    _check_fd(F, D)
     flags = CertFlags.NONE
     P2, Q2, P2_raw, Q2_raw = _pq_from_fd_ld(F, D, d)
     if P2_raw < 0 or P2_raw > d * d:
@@ -363,6 +375,7 @@ def tightness_witness(F: float, D: float, d: int) -> UnitaryOperator:
         raise ValueError("tightness witness requires d >= 4")
     if d % 2:
         raise ValueError("tightness witness requires even d")
+    _check_fd(F, D)
     P2, Q2, _, _ = _pq_from_fd_ld(F, D, d)
     _, _, radicand, b, a = _relaxation_root(P2, Q2, d)
     if radicand < 0:
@@ -384,7 +397,6 @@ def certificate_bundle(
     D: float,
     u: float | None = None,
     x: UnitaryOperator | None = None,
-    extra_flags: CertFlags = CertFlags.NONE,
     family_rtol: float = _TWO_POINT_RTOL,
 ) -> CertificateBundle:
     """Assemble every certificate for one data point.
@@ -397,7 +409,6 @@ def certificate_bundle(
     """
     r = min(max(1.0 - F, 0.0), 1.0)
     c, flags = _certified_overlap_ld(F, D, d, family_rtol)
-    flags |= extra_flags
     b_fd_val = _bound_from_overlap(c)
 
     bf_raw = bound_fidelity_only(r, d)

@@ -18,10 +18,12 @@ from . import __version__
 from .certify import certificate_bundle
 from .estimate import certify_from_estimates, run_protocol
 from .gates import build_model_error, model_dimension, model_errors
-from .linalg import EigensolverError
+from .linalg import EigensolverError, UnitarityError
 from .moments import fd_from_unitary, pq_from_fd
 from .verify import run_verification
 
+# b_ru_at_u is the (r, u) bound at u = 1: every error these commands build
+# is unitary
 SWEEP_COLUMNS = (
     "model,n,param,F,D,r,d_exact,b_fidelity_only,b_ru_at_u,b_fd,b_hybrid,flags,"
     "b_fidelity_only_raw,b_ru_at_u_raw"
@@ -83,7 +85,7 @@ def cmd_sweep(args) -> int:
     lines = [SWEEP_COLUMNS]
     for param, x in zip(params, model_errors(args.model, params, n)):
         s = fd_from_unitary(x)
-        bundle = certificate_bundle(d, s.F, s.D, u=args.unitarity, x=x)
+        bundle = certificate_bundle(d, s.F, s.D, u=1.0, x=x)
         lines.append(_sweep_row(args.model, n, param, s, bundle))
     _write_lines(args.out, lines)
     return 0
@@ -131,7 +133,7 @@ def cmd_moments(args) -> int:
     x = build_model_error(args.model, args.param, n)
     s = fd_from_unitary(x)
     pq = pq_from_fd(s.F, s.D, d)
-    bundle = certificate_bundle(d, s.F, s.D, u=args.unitarity, x=x)
+    bundle = certificate_bundle(d, s.F, s.D, u=1.0, x=x)
     if args.csv:
         print(SWEEP_COLUMNS)
         print(_sweep_row(args.model, n, args.param, s, bundle))
@@ -149,7 +151,7 @@ def cmd_moments(args) -> int:
         ("c_FD", _fmt(bundle.c_value)),
         ("d_exact", _fmt(bundle.d_exact)),
         ("b_fidelity_only", _fmt(bundle.b_fidelity_only)),
-        (f"b_ru_at_u={args.unitarity:g}", _fmt(bundle.b_ru)),
+        ("b_ru_at_u=1", _fmt(bundle.b_ru)),
         ("b_fd", _fmt(bundle.b_fd)),
         ("b_hybrid", _fmt(bundle.b_hybrid)),
         ("hybrid_winner", bundle.hybrid_winner),
@@ -184,7 +186,6 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--max", type=float, default=1.0)
     sweep.add_argument("--steps", type=int, default=50)
     sweep.add_argument("--log-grid", action="store_true", help="geometric parameter spacing")
-    sweep.add_argument("--unitarity", type=float, default=1.0, help="u for the (r,u) bound")
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_sweep)
 
@@ -203,7 +204,6 @@ def _build_parser() -> _Parser:
     mom.add_argument("--model", required=True, choices=("cz", "toffoli", "qft"))
     mom.add_argument("--n", type=int, default=None)
     mom.add_argument("--param", type=float, required=True)
-    mom.add_argument("--unitarity", type=float, default=1.0)
     mom.add_argument("--csv", action="store_true", help="emit a machine-readable CSV row")
     mom.set_defaults(func=cmd_moments)
 
@@ -218,12 +218,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except (EigensolverError, UnitarityError) as exc:
+        print(f"gatecert: numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (_UsageError, ValueError) as exc:
         print(f"gatecert: error: {exc}", file=sys.stderr)
         return 1
-    except EigensolverError as exc:
-        print(f"gatecert: numerical failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ cross-average for F^2, both unbiased under shot noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -141,11 +141,9 @@ def certify_from_estimates(result: EstimationResult, d: int) -> CertificateBundl
     """
     if d < 4:
         raise ValueError("certification from estimates requires d >= 4")
-    extra = CertFlags.D_TRUNCATED if result.truncated else CertFlags.NONE
-    return certificate_bundle(
-        d,
-        F=result.F_hat,
-        D=result.D_hat,
-        extra_flags=extra,
-        family_rtol=_family_tolerance(result, d),
+    bundle = certificate_bundle(
+        d, F=result.F_hat, D=result.D_hat, family_rtol=_family_tolerance(result, d)
     )
+    if result.truncated:
+        bundle = replace(bundle, flags=bundle.flags | CertFlags.D_TRUNCATED)
+    return bundle

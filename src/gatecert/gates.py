@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import UnitaryOperator, exp_involutory, exp_projector_squared
+from .linalg import UnitaryOperator
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -27,11 +27,15 @@ PROJ_ONE = np.diag([0.0, 1.0]).astype(np.complex128)
 CNOT_GATE = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
 )
-# generator of the CNOT over-rotation, P1 (x) sigma_x
+# generator of the CNOT over-rotation, P1 (x) sigma_x, and its square, the
+# projector P1 (x) 1
 CNOT_GENERATOR = np.kron(PROJ_ONE, SIGMA_X)
+_CNOT_GENERATOR_SQ = CNOT_GENERATOR @ CNOT_GENERATOR
+_EYE2 = np.eye(2)
+_EYE4 = np.eye(4)
 
-_ARITY = {"H": 1, "T": 1, "Tdag": 1, "CNOT": 2, "CP": 2, "CZ_phase": 2}
-_NEEDS_ANGLE = {"CP", "CZ_phase"}
+_IDEAL = {"H": HADAMARD, "T": T_GATE, "Tdag": T_GATE.conj(), "CNOT": CNOT_GATE}
+_ARITY = {"H": 1, "T": 1, "Tdag": 1, "CNOT": 2, "CP": 2}
 
 
 @dataclass(frozen=True)
@@ -52,8 +56,8 @@ class GateSpec:
             )
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"duplicate target qubits: {self.targets}")
-        if (self.kind in _NEEDS_ANGLE) != (self.angle is not None):
-            raise ValueError(f"angle must be given exactly for {sorted(_NEEDS_ANGLE)}")
+        if (self.kind == "CP") != (self.angle is not None):
+            raise ValueError("an angle must be given for CP and only for CP")
         if self.angle is not None and not math.isfinite(self.angle):
             raise ValueError("angle must be finite")
 
@@ -76,35 +80,33 @@ def controlled_phase(theta: float) -> np.ndarray:
     return np.diag([1.0, 1.0, 1.0, np.exp(1j * theta)]).astype(np.complex128)
 
 
-def ideal_gate(spec: GateSpec) -> np.ndarray:
-    if spec.kind == "H":
-        return HADAMARD.copy()
-    if spec.kind == "T":
-        return T_GATE.copy()
-    if spec.kind == "Tdag":
-        return T_GATE.conj()
-    if spec.kind == "CNOT":
-        return CNOT_GATE.copy()
-    # CP and CZ_phase share the diag(1,1,1,e^{i angle}) matrix
-    return controlled_phase(spec.angle)
+def gate_matrix(spec: GateSpec, epsilon: float | None = None) -> np.ndarray:
+    """The primitive's 2^k x 2^k matrix: ideal when epsilon is None, else
+    under the coherent over-rotation model.
 
-
-def overrotated_gate(spec: GateSpec, epsilon: float) -> np.ndarray:
-    """Apply the coherent over-rotation model for the given primitive.
-
-    T/Tdag pick up exp(-i eps sigma_z / 2), H picks up exp(-i eps H / 2),
-    CNOT picks up exp(-i eps P1 (x) sigma_x), and CP(theta) becomes
-    CP((1+eps) theta).
+    T and Tdag pick up exp(-i eps sigma_z / 2), H picks up exp(-i eps H / 2)
+    and CNOT picks up exp(-i eps G) with G = P1 (x) sigma_x, each factor
+    applied after the ideal gate; CP(theta) becomes CP((1+eps) theta).
     """
-    if spec.kind in ("T", "Tdag"):
-        return exp_involutory(SIGMA_Z, epsilon / 2.0) @ ideal_gate(spec)
-    if spec.kind == "H":
-        return exp_involutory(HADAMARD, epsilon / 2.0) @ HADAMARD
-    if spec.kind == "CNOT":
-        return exp_projector_squared(CNOT_GENERATOR, epsilon) @ CNOT_GATE
     if spec.kind == "CP":
-        return controlled_phase((1.0 + epsilon) * spec.angle)
-    raise ValueError(f"no over-rotation model for gate kind {spec.kind!r}")
+        angle = spec.angle if epsilon is None else (1.0 + epsilon) * spec.angle
+        return controlled_phase(angle)
+    ideal = _IDEAL[spec.kind]
+    if epsilon is None:
+        return ideal.copy()
+    if spec.kind == "CNOT":
+        # G^2 is a projector: exp(-i eps G) = 1 + (cos eps - 1) G^2 - i sin eps G
+        rot = (
+            _EYE4
+            + (np.cos(epsilon) - 1.0) * _CNOT_GENERATOR_SQ
+            - 1j * np.sin(epsilon) * CNOT_GENERATOR
+        )
+    else:
+        # G^2 = 1: exp(-i t G) = cos t - i sin t G, at t = eps / 2
+        g = HADAMARD if spec.kind == "H" else SIGMA_Z
+        t = epsilon / 2.0
+        rot = np.cos(t) * _EYE2 - 1j * np.sin(t) * g
+    return rot @ ideal
 
 
 def left_apply_gate(matrix: np.ndarray, gate: np.ndarray, targets, n: int) -> np.ndarray:
@@ -132,8 +134,7 @@ def circuit_unitary(circuit: CircuitSpec, epsilon: float | None = None) -> np.nd
     d = 1 << circuit.n
     u = np.eye(d, dtype=np.complex128)
     for spec in circuit.gates:
-        g = ideal_gate(spec) if epsilon is None else overrotated_gate(spec, epsilon)
-        u = left_apply_gate(u, g, spec.targets, circuit.n)
+        u = left_apply_gate(u, gate_matrix(spec, epsilon), spec.targets, circuit.n)
     return u
 
 

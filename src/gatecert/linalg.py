@@ -1,5 +1,5 @@
-"""Dense complex matrix primitives: unitary validation, eigenvalues, closed-form
-exponentials for the two generator families used by the coherent error models.
+"""Dense complex matrix primitives: unitary validation, traces, eigenvalues
+and Haar-random unitaries.
 
 All matrices are square numpy arrays of complex128, row-major.
 """
@@ -135,28 +135,6 @@ def eigenvalues_unitary(u: UnitaryOperator) -> np.ndarray:
             f"eigenvalue sum deviates from trace by {trace_resid:.3e}"
         )
     return lam
-
-
-def exp_involutory(g, theta: float) -> np.ndarray:
-    """exp(-i*theta*G) for Hermitian G with G^2 = 1: cos(theta) 1 - i sin(theta) G."""
-    g = _as_square_matrix(g)
-    eye = np.eye(g.shape[0])
-    if np.abs(g - g.conj().T).max() > 1e-10 or np.abs(g @ g - eye).max() > 1e-10:
-        raise ValueError("generator must be Hermitian with G^2 = 1")
-    return np.cos(theta) * eye - 1j * np.sin(theta) * g
-
-
-def exp_projector_squared(a, theta: float) -> np.ndarray:
-    """exp(-i*theta*A) for Hermitian A whose square is a projector:
-    1 + (cos(theta) - 1) A^2 - i sin(theta) A."""
-    a = _as_square_matrix(a)
-    if np.abs(a - a.conj().T).max() > 1e-10:
-        raise ValueError("generator must be Hermitian")
-    a2 = a @ a
-    if np.abs(a2 @ a2 - a2).max() > 1e-10:
-        raise ValueError("generator squared must be a projector")
-    eye = np.eye(a.shape[0])
-    return eye + (np.cos(theta) - 1.0) * a2 - 1j * np.sin(theta) * a
 
 
 def haar_random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

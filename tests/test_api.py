@@ -14,7 +14,8 @@ BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 # wrappers that only tests used, the hull routines that nothing in the
 # package calls any more, the per-state record type that pass counts replace,
-# and the hybrid minimum that certificate_bundle takes itself
+# the hybrid minimum that certificate_bundle takes itself, and the gate
+# builders and matrix exponentials that gate_matrix replaces
 REMOVED = (
     "ShotRecord",
     "adjoint",
@@ -25,8 +26,12 @@ REMOVED = (
     "d2_deviation",
     "distance_origin_to_hull",
     "embed_gate",
+    "exp_involutory",
+    "exp_projector_squared",
+    "ideal_gate",
     "kron",
     "multiply",
+    "overrotated_gate",
     "symmetric_subspace_dim",
     "trace",
     "trace_of_square",
@@ -62,8 +67,15 @@ def test_removed_constants_stay_removed():
 
 
 def test_linalg_knows_no_qubits():
-    # gates is the one module that knows about qubits and gate targets
-    for name in ("left_apply_gate", "embed_gate", "_check_targets"):
+    # gates is the one module that knows about qubits, gate targets and the
+    # gate model's exponentials
+    for name in (
+        "left_apply_gate",
+        "embed_gate",
+        "_check_targets",
+        "exp_involutory",
+        "exp_projector_squared",
+    ):
         assert not hasattr(gatecert.linalg, name), name
 
 

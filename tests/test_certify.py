@@ -135,6 +135,28 @@ def test_certified_overlap_small_dimension_rejected():
         certified_overlap(0.99, 0.001, 2)
 
 
+def test_out_of_range_data_is_rejected():
+    # no error has F outside [0, 1], a negative D or a non-finite moment:
+    # every (F, D) entry point refuses such data instead of certifying it
+    bad = [
+        (1.5, 0.0),
+        (1.0 + 1e-9, 0.0),
+        (-0.1, 0.01),
+        (0.99, -0.01),
+        (0.99, math.nan),
+        (math.nan, 0.001),
+        (0.99, math.inf),
+    ]
+    for F, D in bad:
+        for entry in (certified_overlap, bound_fd, tightness_witness):
+            with pytest.raises(ValueError):
+                entry(F, D, 4)
+        with pytest.raises(ValueError):
+            certificate_bundle(4, F, D)
+    # F within the 1e-12 rounding slack above 1 is the identity's data
+    assert bound_fd(1.0 + 1e-13, 0.0, 4) == 0.0
+
+
 def test_certified_overlap_toffoli_validity():
     x = build_model_error("toffoli", 0.1)
     s = fd_from_unitary(x)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gatecert.certify
+import gatecert.linalg
 from gatecert.cli import main
 
 
@@ -196,6 +197,15 @@ def test_verify_detects_broken_certificate(monkeypatch, capsys):
     rc = main(["verify"])
     assert rc == 3
     assert "[FAIL] cz-tightness" in capsys.readouterr().out
+
+
+def test_unitarity_failure_is_numerical_failure(monkeypatch, capsys):
+    # UnitarityError is a ValueError, but a failed unitarity check is a
+    # numerical failure (exit 2), not a usage error (exit 1)
+    monkeypatch.setattr(gatecert.linalg, "UNITARITY_TOL", -1.0)
+    assert main(["moments", "--model", "cz", "--param", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gatecert: numerical failure: unitarity residual")
 
 
 def test_unknown_command_is_usage_error():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from gatecert import (
     CircuitSpec,
@@ -13,9 +14,8 @@ from gatecert import (
     circuit_unitary,
     error_unitary,
     fd_from_unitary,
+    gate_matrix,
     haar_random_unitary,
-    ideal_gate,
-    overrotated_gate,
     qft_circuit,
     toffoli_circuit,
 )
@@ -56,6 +56,8 @@ def test_gate_spec_validation():
         GateSpec("CP", (1, 2), float("inf"))
     with pytest.raises(ValueError):
         GateSpec("CNOT", (1, 1))  # duplicate target
+    with pytest.raises(ValueError):
+        GateSpec("CZ_phase", (1, 2), 0.3)  # no such kind: CP carries the phase
 
 
 def test_circuit_spec_target_range():
@@ -68,13 +70,13 @@ def test_circuit_spec_target_range():
 
 
 def test_ideal_gate_examples():
-    t = ideal_gate(GateSpec("T", (1,)))
-    tdag = ideal_gate(GateSpec("Tdag", (1,)))
+    t = gate_matrix(GateSpec("T", (1,)))
+    tdag = gate_matrix(GateSpec("Tdag", (1,)))
     assert np.allclose(t @ tdag, np.eye(2))
     assert np.allclose(
-        ideal_gate(GateSpec("CP", (1, 2), math.pi)), np.diag([1, 1, 1, -1])
+        gate_matrix(GateSpec("CP", (1, 2), math.pi)), np.diag([1, 1, 1, -1])
     )
-    h = ideal_gate(GateSpec("H", (1,)))
+    h = gate_matrix(GateSpec("H", (1,)))
     assert np.allclose(h @ h, np.eye(2))
 
 
@@ -87,12 +89,12 @@ def test_overrotation_reduces_to_ideal_at_zero():
         GateSpec("CP", (1, 2), 0.77),
     ]
     for spec in specs:
-        assert np.array_equal(overrotated_gate(spec, 0.0), ideal_gate(spec))
+        assert np.array_equal(gate_matrix(spec, 0.0), gate_matrix(spec))
 
 
 def test_overrotated_cp_rule():
     theta, eps = 0.6, 0.1
-    out = overrotated_gate(GateSpec("CP", (1, 2), theta), eps)
+    out = gate_matrix(GateSpec("CP", (1, 2), theta), eps)
     assert np.allclose(out, np.diag([1, 1, 1, np.exp(1j * 1.1 * theta)]))
 
 
@@ -101,15 +103,31 @@ def test_overrotated_cnot_action_on_10():
     # |11>, then the over-rotation mixes the target within the control-1
     # block, leaving cos(eps)|11> - i sin(eps)|10>
     eps = 0.3
-    col = overrotated_gate(GateSpec("CNOT", (1, 2)), eps)[:, 2]
+    col = gate_matrix(GateSpec("CNOT", (1, 2)), eps)[:, 2]
     assert col[3] == pytest.approx(math.cos(eps))
     assert col[2] == pytest.approx(-1j * math.sin(eps))
     assert abs(col[0]) == 0 and abs(col[1]) == 0
 
 
-def test_overrotation_unsupported_kind():
-    with pytest.raises(ValueError):
-        overrotated_gate(GateSpec("CZ_phase", (1, 2), 0.3), 0.1)
+def test_overrotation_matches_expm():
+    # the closed forms against scipy's exponential of each generator G:
+    # the implemented gate is expm(-i t G) @ ideal, at t = eps / 2 for the
+    # one-qubit gates and t = eps for CNOT; CP(theta) picks up the phase
+    # eps theta on |11>
+    h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    sz = np.diag([1.0, -1.0])
+    cnot_gen = np.kron(np.diag([0.0, 1.0]), np.array([[0, 1], [1, 0]]))
+    cases = [
+        (GateSpec("H", (1,)), h, 0.5),
+        (GateSpec("T", (1,)), sz, 0.5),
+        (GateSpec("Tdag", (1,)), sz, 0.5),
+        (GateSpec("CNOT", (1, 2)), cnot_gen, 1.0),
+        (GateSpec("CP", (1, 2), 0.6), -0.6 * np.diag([0.0, 0.0, 0.0, 1.0]), 1.0),
+    ]
+    for eps in (-0.4, 0.0, 1e-7, 3e-5, 0.02, 0.7, 2.0):
+        for spec, gen, scale in cases:
+            expect = expm(-1j * scale * eps * gen) @ gate_matrix(spec)
+            assert np.abs(gate_matrix(spec, eps) - expect).max() <= 1e-14, (spec, eps)
 
 
 def test_build_cz_error_examples():
@@ -221,8 +239,7 @@ def test_circuit_unitary_matches_embedding_product():
         for eps in (None, 0.13):
             u = np.eye(1 << circ.n, dtype=complex)
             for spec in circ.gates:
-                g = ideal_gate(spec) if eps is None else overrotated_gate(spec, eps)
-                u = embedded(g, spec.targets, circ.n) @ u
+                u = embedded(gate_matrix(spec, eps), spec.targets, circ.n) @ u
             assert np.abs(circuit_unitary(circ, eps) - u).max() < 1e-12
 
 

@@ -9,13 +9,10 @@ from gatecert import (
     UnitaryOperator,
     build_model_error,
     eigenvalues_unitary,
-    exp_involutory,
-    exp_projector_squared,
     haar_random_unitary,
 )
 from gatecert.linalg import _trace_ld, _trace_of_square_ld
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
@@ -155,54 +152,6 @@ def test_blocked_trace_of_square_is_bit_identical(d):
     a = random_matrix(np.random.default_rng(d), d)
     al = a.astype(np.clongdouble)
     assert _trace_of_square_ld(a) == np.sum(al * al.T)
-
-
-def test_exp_involutory_examples():
-    assert np.allclose(exp_involutory(SZ, 0.0), np.eye(2))
-    assert np.allclose(exp_involutory(SZ, math.pi / 2), np.diag([-1j, 1j]))
-    h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    assert np.allclose(exp_involutory(h, 0.0) @ h, h)
-
-
-def test_exp_involutory_inverse_property():
-    h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    for theta in (0.01, 0.5, 2.0):
-        prod = exp_involutory(h, theta) @ exp_involutory(h, -theta)
-        assert np.abs(prod - np.eye(2)).max() < 1e-12
-
-
-def test_exp_involutory_rejects_non_involution():
-    with pytest.raises(ValueError):
-        exp_involutory(np.diag([1.0, 2.0]), 0.1)
-
-
-def _series_expm(generator, theta, terms=60):
-    acc = np.eye(generator.shape[0], dtype=complex)
-    term = np.eye(generator.shape[0], dtype=complex)
-    for k in range(1, terms):
-        term = term @ (-1j * theta * generator) / k
-        acc = acc + term
-    return acc
-
-
-def test_exp_projector_squared_against_series():
-    gen = np.kron(np.diag([0.0, 1.0]), SX)
-    for theta in (0.01, 0.5, 2.0):
-        out = exp_projector_squared(gen, theta)
-        assert np.abs(out - _series_expm(gen, theta)).max() < 1e-13
-        # block structure: identity on the control-0 block
-        assert np.allclose(out[:2, :2], np.eye(2))
-        assert np.allclose(
-            out[2:, 2:], math.cos(theta) * np.eye(2) - 1j * math.sin(theta) * SX
-        )
-        resid = np.abs(out.conj().T @ out - np.eye(4)).max()
-        assert resid <= 1e-12
-    assert np.allclose(exp_projector_squared(gen, 0.0), np.eye(4))
-
-
-def test_exp_projector_squared_rejects_bad_generator():
-    with pytest.raises(ValueError):
-        exp_projector_squared(np.diag([1.0, 0.5]), 0.1)
 
 
 def test_haar_random_unitary_is_unitary():
