@@ -109,6 +109,11 @@ def test_overrotated_cnot_action_on_10():
     assert abs(col[0]) == 0 and abs(col[1]) == 0
 
 
+def test_overrotation_unsupported_kind():
+    with pytest.raises(ValueError):
+        gate_matrix(GateSpec("CZ_phase", (1, 2), 0.3), 0.1)
+
+
 def test_overrotation_matches_expm():
     # the closed forms against scipy's exponential of each generator G:
     # the implemented gate is expm(-i t G) @ ideal, at t = eps / 2 for the

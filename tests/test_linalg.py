@@ -6,9 +6,11 @@ import pytest
 from gatecert import (
     EigensolverError,
     UnitarityError,
+    GateSpec,
     UnitaryOperator,
     build_model_error,
     eigenvalues_unitary,
+    gate_matrix,
     haar_random_unitary,
 )
 from gatecert.linalg import _trace_ld, _trace_of_square_ld
@@ -152,6 +154,63 @@ def test_blocked_trace_of_square_is_bit_identical(d):
     a = random_matrix(np.random.default_rng(d), d)
     al = a.astype(np.clongdouble)
     assert _trace_of_square_ld(a) == np.sum(al * al.T)
+
+
+# The involutory and projector-squared exponentials live in
+# gates.gate_matrix as closed forms: the over-rotated gate is
+# exp(-i t G) @ ideal, and each ideal gate here is its own inverse, so
+# gate_matrix(spec, eps) @ ideal recovers the exponential itself.
+H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+SX = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def _exp_of(spec, eps):
+    ideal = gate_matrix(spec)
+    assert np.abs(ideal @ ideal - np.eye(ideal.shape[0])).max() < 1e-15
+    return gate_matrix(spec, eps) @ ideal
+
+
+def test_exp_involutory_examples():
+    # exp(-i (eps/2) Z) for T: identity at 0, diag(-i, i) at eps = pi
+    t = GateSpec("T", (1,))
+    assert np.allclose(gate_matrix(t, 0.0) @ gate_matrix(t).conj().T, np.eye(2))
+    assert np.allclose(
+        gate_matrix(t, math.pi) @ gate_matrix(t).conj().T, np.diag([-1j, 1j])
+    )
+    assert np.allclose(gate_matrix(GateSpec("H", (1,)), 0.0), H)
+    assert np.allclose(_exp_of(GateSpec("H", (1,)), 0.0), np.eye(2))
+
+
+def test_exp_involutory_inverse_property():
+    h = GateSpec("H", (1,))
+    for theta in (0.01, 0.5, 2.0):
+        prod = _exp_of(h, theta) @ _exp_of(h, -theta)
+        assert np.abs(prod - np.eye(2)).max() < 1e-12
+
+
+def _series_expm(generator, theta, terms=60):
+    acc = np.eye(generator.shape[0], dtype=complex)
+    term = np.eye(generator.shape[0], dtype=complex)
+    for k in range(1, terms):
+        term = term @ (-1j * theta * generator) / k
+        acc = acc + term
+    return acc
+
+
+def test_exp_projector_squared_against_series():
+    gen = np.kron(np.diag([0.0, 1.0]), SX)
+    cnot = GateSpec("CNOT", (1, 2))
+    for theta in (0.01, 0.5, 2.0):
+        out = _exp_of(cnot, theta)
+        assert np.abs(out - _series_expm(gen, theta)).max() < 1e-13
+        # block structure: identity on the control-0 block
+        assert np.allclose(out[:2, :2], np.eye(2))
+        assert np.allclose(
+            out[2:, 2:], math.cos(theta) * np.eye(2) - 1j * math.sin(theta) * SX
+        )
+        resid = np.abs(out.conj().T @ out - np.eye(4)).max()
+        assert resid <= 1e-12
+    assert np.allclose(_exp_of(cnot, 0.0), np.eye(4))
 
 
 def test_haar_random_unitary_is_unitary():
