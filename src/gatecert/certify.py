@@ -6,30 +6,42 @@ largest gap between its eigenphases, the fidelity-only conversion bound, the
 certified overlap c(F, D), and the hybrid minimum of the two.
 
 c(F, D) lower-bounds the smallest minimum-overlap m(X) among unitaries X
-whose spectral invariants (P, Q) match the observed (F, D). Every compatible
-spectrum lies on an arc of the unit circle whose half-width determines m, so
-this is a max-spread problem with two trace-moment constraints. The
-Cauchy-Schwarz relaxation of that problem has the closed-form root
+whose spectral invariants P = |tr X| and Q = |tr X^2 + (tr X)^2| match the
+observed moments. Every compatible spectrum lies on an arc of the unit
+circle whose half-width determines m, so this is a max-spread problem with
+two trace-moment constraints.
 
-    b- = P/d - sqrt((d-2) (dQ + d^2 - (d+2) P^2)) / (2d),
+The certificate runs in the deviation coordinates of the infidelity r and
+the deviation D. With N = d(d+1) and B = N(d+2)(d+3), two exact identities
+give the distances of the invariants from the identity's,
+
+    dP = d^2 - P^2 = N r,
+    dQ = N^2 - Q^2 = 2N(d+1)(d+2) r - B (r^2 + D^2),
+
+and every quantity below is written in them without cancellation at leading
+order in the error angle (the trace forms cancel to fourth order near the
+identity). The Cauchy-Schwarz relaxation of the problem has the root
+
+    b- = P/d - sqrt(R) / (2d),  R = (d-2) (dQ + d^2 - (d+2) P^2)
+       = (d-2) d [B (r^2 + D^2) - (d+1)(d+2) r dQ/(N+Q)] / (N+Q),
 
 attained by a two-angle conjugate-pair spectrum whose bulk cosine is
 a = (P - 2 b-) / (d - 2). When a <= 1 that spectrum exists, so c = [b-]_+ is
 the exact optimum. When a > 1 no conjugate-pair spectrum matches the data
 (the relaxation alone is strictly loose there, e.g. on the CZ-like family
 with a repeated eigenvalue); the extremal spectra then concentrate on at
-most three support angles, and _pinned_max_span solves that case: closed
-form on the two-point families, and otherwise one algebraic solve over every
-multiplicity split of three support angles (the resultant of the two trace
-constraints is a degree-6 polynomial in the cosine of one angle; its roots
-come from one batched companion eigensolve and a Newton polish in extended
-precision). Beyond the search cap of d = 64 it falls back to the
-always-valid relaxation root.
-Everything runs in extended precision since the radicand cancels to fourth
-order in the error angle near the identity. Unlike the plain relaxation, the
-exact boundary-corrected certificate is not globally monotone in D at fixed
-F: crossing the attainability seam can raise it slightly (verified against
-direct constrained optimization).
+most three support angles. On a two-point family (p eigenvalues at angle
+g, d - p at 0) the gap is closed-form, sin(g/2) = sqrt(dP / (4p(d-p))).
+Otherwise _pinned_max_span runs one algebraic solve over every multiplicity
+split of three support angles (the resultant of the two trace constraints
+is a degree-6 polynomial in the cosine of one angle; its roots come from one
+batched companion eigensolve and a Newton polish in extended precision).
+Beyond the search cap of d = 64 it falls back to the always-valid
+relaxation root.
+
+Unlike the plain relaxation, the exact boundary-corrected certificate is not
+globally monotone in D at fixed r: crossing the attainability seam can raise
+it slightly (verified against direct constrained optimization).
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ import numpy as np
 # not called here: bench/run.py traces the hull routines under these names
 from .geometry import convex_hull, distance_origin_to_hull  # noqa: F401
 from .linalg import UnitaryOperator, eigenvalues_unitary
-from .moments import _pq_from_fd_ld
+from .moments import fd_from_unitary
 
 _LD = np.longdouble
 _CLD = np.clongdouble
@@ -51,12 +63,17 @@ _LD_ZERO = _LD(0)
 _LD_ONE = _LD(1)
 _LD_PI = _LD(np.pi)
 
-_BULK_COS_TOL = _LD(1e-12)  # a <= 1 + tol keeps the relaxation branch
-# membership tolerance for the two-point families: on-family data computed
-# from float64 (F, D) lands below 1e-15 relative, while data merely near a
-# family (all families meet at the identity) stays above 1e-13 on the
-# benchmark surface
-_TWO_POINT_RTOL = 5e-15
+# a - 1 <= _BULK_RTOL dP keeps the relaxation branch: a - 1 and dP both
+# scale as the squared error angle, so a tolerance that does not scale with
+# dP sends every small enough error to the relaxation
+_BULK_RTOL = 1e-12
+# relative tolerance on D^2 of the two-point family test. On-family data
+# lands within 4e-16 of its family curve when (r, D) come from eigenphases,
+# and within about 2 eps / r when r = 1 - F (3.4e-13 on the benchmark's
+# two-point spectra). The other side: a spectrum whose D^2 lies within tol
+# of a family curve can span up to about 0.6 sqrt(tol) more than the family
+# gap (one eigenvalue split off the cluster), which is 2e-6 here
+_FAMILY_RTOL = 1e-11
 _PINNED_MAX_DIM = 64  # three-point search cap; beyond it keep the relaxation
 # interior atoms closer than this to another atom form degenerate two-point
 # configurations, where the search residual is tangential and root positions
@@ -136,6 +153,8 @@ def bound_ru(r: float, u: float, d: int) -> float:
     """Unitarity-assisted bound: d^2 c_d sqrt(u + 2dr/(d-1) - 1), unclamped."""
     if not -1e-12 <= r <= 1.0 + 1e-12:
         raise ValueError(f"infidelity r must lie in [0, 1], got {r}")
+    if not (math.isfinite(u) and 0.0 <= u <= 1.0 + 1e-12):
+        raise ValueError(f"unitarity u must lie in [0, 1], got {u}")
     # grouped as (u - 1) + ... : u + ... - 1 cancels catastrophically at u = 1
     radicand = (u - 1.0) + 2.0 * d * max(r, 0.0) / (d - 1.0)
     if radicand < -1e-12:
@@ -146,31 +165,28 @@ def bound_ru(r: float, u: float, d: int) -> float:
     return d * d * c_d * math.sqrt(max(radicand, 0.0))
 
 
-def _two_point_span(P, Q, d: int, family_rtol: float):
-    """Angular gap of a two-point spectrum (q eigenvalues at one angle, p at
-    another) matching the invariants, or None when the data is off every
-    two-point curve.
+def _two_point_sin2(dP, D, d: int, family_rtol: float):
+    """sin^2(g/2) of the widest two-point spectrum (p eigenvalues at angle g,
+    q = d - p at 0) that matches (dP, D), or None when the data lies on no
+    two-point family.
 
-    For such spectra the gap g is fixed by P alone, cos g = (P^2 - p^2 -
-    q^2) / (2pq), which stays perfectly conditioned; the Q constraint then
-    decides membership, at tolerance family_rtol. These spectra are the
-    extremal ones whenever the relaxation's equality case is unattainable
-    (cross-validated against direct constrained optimization at d = 4, 8).
+    On the family of split p both moments are closed-form in g, and so in
+    each other: sin^2(g/2) = dP / (4pq) and D^2 = kappa_p dP^2 with
+    kappa_p = [((q - p)^2 + d) / (pqd) - 2/N] / B. The data lies on the
+    family when D^2 matches kappa_p dP^2 to family_rtol relative. These
+    spectra are the extremal ones whenever the relaxation's equality case is
+    unattainable (cross-validated against direct constrained optimization at
+    d = 4, 8).
     """
-    P = _LD(P)
-    Q = _LD(Q)
-    best = None
-    for p in range(1, d):
-        q = d - p
-        cg = (P * P - p * p - q * q) / (2 * _LD(p) * _LD(q))
-        if -1 <= cg <= 1:
-            g = np.arccos(cg)
-            t1 = q + p * np.exp(1j * _CLD(g))
-            w = q + p * np.exp(2j * _CLD(g)) + t1 * t1
-            if abs(np.abs(w) - Q) <= family_rtol * (1 + Q):
-                if best is None or float(g) > best:
-                    best = float(g)
-    return best
+    dd = _LD(d)
+    n = dd * (dd + 1)
+    p = np.arange(1, d // 2 + 1).astype(_LD)
+    q = dd - p
+    kappa = (((q - p) ** 2 + dd) / (p * q * dd) - 2 / n) / (n * (dd + 2) * (dd + 3))
+    D2 = _LD(D) ** 2
+    sin2 = dP / (4 * p * q)
+    on = (sin2 <= 1) & (np.abs(D2 - kappa * dP * dP) <= family_rtol * D2)
+    return sin2[on].max() if on.any() else None
 
 
 def _split_resultant(x, p, q, r, P2, Q2):
@@ -222,11 +238,12 @@ def _pinned_resid(g, p, q, r, sgn, P, Q):
         return np.abs(w) - Q, h, np.real(np.conj(w) * dw) / np.abs(w)
 
 
-def _pinned_max_span(P, Q, d: int, family_rtol: float):
-    """Maximal angular spread over spectra with at most three support angles
+def _pinned_max_span(P, Q, d: int):
+    """Maximal angular spread over spectra with three support angles
     {0, h, g} matching the invariants (the extremal structure when the
-    relaxation's equality case is unattainable; cross-validated against
-    direct constrained optimization at d = 4, 8 and 16 in the tests).
+    relaxation's equality case is unattainable and the data lies on no
+    two-point family; cross-validated against direct constrained
+    optimization at d = 4, 8 and 16 in the tests).
 
     Along the curve where the first invariant holds, the angle h of the r
     atoms is closed-form in the angle g of the p atoms, so each multiplicity
@@ -249,12 +266,6 @@ def _pinned_max_span(P, Q, d: int, family_rtol: float):
     """
     P = _LD(P)
     Q = _LD(Q)
-    two_point = _two_point_span(P, Q, d, family_rtol)
-    if two_point is not None:
-        # data sits on a two-point family at its own resolution; finer
-        # structure is unresolvable and the family gap is exact
-        return two_point
-
     p, q = np.array([(p, q) for p in range(1, d - 1) for q in range(1, d - p)]).T
     r = d - p - q
     P64 = float(P)
@@ -291,22 +302,51 @@ def _pinned_max_span(P, Q, d: int, family_rtol: float):
     return float(span.max())
 
 
-def _relaxation_root(P2, Q2, d: int):
-    """(P, Q, radicand, b-, a): the invariants' square roots, the radicand
-    (d-2) (dQ + d^2 - (d+2) P^2), the relaxation root b- and the bulk cosine
-    a = (P - 2 b-)/(d - 2), in extended precision. The radicand is returned
-    as computed, so callers see its sign; b- uses it clamped at 0."""
-    P = np.sqrt(P2)
-    Q = np.sqrt(Q2)
+def _relaxation_root(r, D, d: int):
+    """The relaxation at infidelity r and deviation D, in extended precision.
+
+    Returns (dP, P, Q, R, 1 - b-, a - 1, flags): the radicand R as computed,
+    so callers see its sign (b- uses it clamped at 0), the deficit of the
+    relaxation root b- and the bulk cosine's excess over 1, both in forms
+    that do not cancel at leading order,
+
+        1 - b- = [2 (d - P) + sqrt(R)] / (2d),
+        a - 1  = [sqrt(R) / (d - 2) - (d - P)] / d,
+
+    with d - P = dP / (d + P). dP and dQ are clamped to their unitarity
+    ranges [0, d^2] and [0, N^2], which sets P2_CLAMPED or Q2_CLAMPED, and
+    a negative R sets C_RADICAND_CLAMPED.
+    """
     dd = _LD(d)
-    radicand = (dd - 2) * (dd * Q + dd * dd - (dd + 2) * P2)
-    b_minus = P / dd - np.sqrt(max(radicand, _LD_ZERO)) / (2 * dd)
-    return P, Q, radicand, b_minus, (P - 2 * b_minus) / (dd - 2)
+    n = dd * (dd + 1)
+    k = (dd + 1) * (dd + 2)
+    flags = CertFlags.NONE
+    dP = n * _LD(r)
+    if not 0 <= dP <= dd * dd:
+        flags |= CertFlags.P2_CLAMPED
+        dP = np.clip(dP, _LD_ZERO, dd * dd)
+    r = dP / n
+    w = n * (dd + 2) * (dd + 3) * (r * r + _LD(D) ** 2)  # B (r^2 + D^2)
+    dQ = 2 * n * k * r - w
+    if not 0 <= dQ <= n * n:
+        flags |= CertFlags.Q2_CLAMPED
+        dQ = np.clip(dQ, _LD_ZERO, n * n)
+        w = 2 * n * k * r - dQ
+    P = np.sqrt(dd * dd - dP)
+    Q = np.sqrt(n * n - dQ)
+    radicand = (dd - 2) * dd * (w - k * r * dQ / (n + Q)) / (n + Q)
+    if radicand < 0:
+        flags |= CertFlags.C_RADICAND_CLAMPED
+    root = np.sqrt(max(radicand, _LD_ZERO))
+    d_less_p = dP / (dd + P)
+    deficit = (2 * d_less_p + root) / (2 * dd)
+    return dP, P, Q, radicand, deficit, (root / (dd - 2) - d_less_p) / dd, flags
 
 
-def _bound_from_overlap(c) -> float:
-    """sqrt(1 - c^2), as sqrt((1 - c)(1 + c)) in extended precision."""
-    return float(np.sqrt(np.maximum((_LD_ONE - c) * (_LD_ONE + c), _LD_ZERO)))
+def _bound_from_deficit(e) -> float:
+    """sqrt(1 - c^2) from the deficit e = 1 - c, as sqrt(e (2 - e)) in
+    extended precision."""
+    return float(np.sqrt(e * (2 - e)))
 
 
 def _check_fd(F: float, D: float) -> None:
@@ -320,47 +360,43 @@ def _check_fd(F: float, D: float) -> None:
         raise ValueError(f"deviation D must be nonnegative, got {D}")
 
 
-def _certified_overlap_ld(F: float, D: float, d: int, family_rtol: float = _TWO_POINT_RTOL):
-    """Certified overlap in longdouble, plus warning flags."""
+def _certified_deficit_ld(r, D, d: int, family_rtol: float = _FAMILY_RTOL):
+    """1 - c at infidelity r and deviation D in extended precision, plus
+    warning flags."""
     if d < 4:
         raise ValueError(
             "certified_overlap requires d >= 4; at d = 2, D = (1 - F)/sqrt(5) is fixed by F"
         )
-    _check_fd(F, D)
-    flags = CertFlags.NONE
-    P2, Q2, P2_raw, Q2_raw = _pq_from_fd_ld(F, D, d)
-    if P2_raw < 0 or P2_raw > d * d:
-        flags |= CertFlags.P2_CLAMPED
-    if Q2_raw < 0 or Q2_raw > float((d + d * d) ** 2):
-        flags |= CertFlags.Q2_CLAMPED
-    P, Q, radicand, b_minus, bulk_cos = _relaxation_root(P2, Q2, d)
-    if radicand < 0:
-        flags |= CertFlags.C_RADICAND_CLAMPED
-    if b_minus <= 0:
-        return _LD_ZERO, flags
-    if bulk_cos <= 1 + _BULK_COS_TOL or d > _PINNED_MAX_DIM:
-        return np.clip(b_minus, _LD_ZERO, _LD_ONE), flags
+    dP, P, Q, _, deficit, bulk_excess, flags = _relaxation_root(r, D, d)
+    if deficit >= 1:
+        return _LD_ONE, flags
+    if bulk_excess <= _BULK_RTOL * dP:
+        return deficit, flags
     # the relaxation's equality spectrum would need a bulk cosine above 1;
     # there the extremum concentrates on at most three support angles
-    span = _pinned_max_span(P, Q, d, family_rtol)
+    sin2 = _two_point_sin2(dP, D, d, family_rtol)
+    if sin2 is not None:
+        return sin2 / (1 + np.sqrt(1 - sin2)), flags
+    span = _pinned_max_span(P, Q, d) if d <= _PINNED_MAX_DIM else None
     if span is None:
-        return np.clip(b_minus, _LD_ZERO, _LD_ONE), flags
+        return deficit, flags
     if span >= float(_LD_PI):
-        return _LD_ZERO, flags
-    c = np.cos(_LD(span) / 2)
-    return np.clip(c, _LD_ZERO, _LD_ONE), flags
+        return _LD_ONE, flags
+    return 2 * np.sin(_LD(span) / 4) ** 2, flags
 
 
 def certified_overlap(F: float, D: float, d: int) -> float:
     """Certified lower bound on the minimum overlap m(X) from (F, D)."""
-    c, _ = _certified_overlap_ld(F, D, d)
-    return float(c)
+    _check_fd(F, D)
+    deficit, _ = _certified_deficit_ld(1.0 - F, D, d)
+    return float(1 - deficit)
 
 
 def bound_fd(F: float, D: float, d: int) -> float:
     """Moment-assisted worst-case bound sqrt(1 - c(F, D)^2)."""
-    c, _ = _certified_overlap_ld(F, D, d)
-    return _bound_from_overlap(c)
+    _check_fd(F, D)
+    deficit, _ = _certified_deficit_ld(1.0 - F, D, d)
+    return _bound_from_deficit(deficit)
 
 
 def tightness_witness(F: float, D: float, d: int) -> UnitaryOperator:
@@ -376,10 +412,10 @@ def tightness_witness(F: float, D: float, d: int) -> UnitaryOperator:
     if d % 2:
         raise ValueError("tightness witness requires even d")
     _check_fd(F, D)
-    P2, Q2, _, _ = _pq_from_fd_ld(F, D, d)
-    _, _, radicand, b, a = _relaxation_root(P2, Q2, d)
+    _, _, _, radicand, deficit, bulk_excess, _ = _relaxation_root(1.0 - F, D, d)
     if radicand < 0:
         raise ValueError("inadmissible (F, D): negative certificate radicand")
+    a, b = 1 + bulk_excess, 1 - deficit
     for name, val in (("bulk", float(a)), ("extremal", float(b))):
         if not -1 - 1e-12 <= val <= 1 + 1e-12:
             raise ValueError(
@@ -397,19 +433,32 @@ def certificate_bundle(
     D: float,
     u: float | None = None,
     x: UnitaryOperator | None = None,
-    family_rtol: float = _TWO_POINT_RTOL,
+    family_rtol: float = _FAMILY_RTOL,
 ) -> CertificateBundle:
     """Assemble every certificate for one data point.
 
-    When the error unitary x is supplied the exact diamond distance is
-    included; when u is supplied the (r, u) bound is included. The hybrid is
-    the minimum of the (r, u) and (F, D) bounds present. family_rtol widens
-    the two-point family-membership test, used when (F, D) carry statistical
-    noise.
+    Measured data are certified at r = 1 - F. When the error unitary x is
+    supplied, the bundle certifies x's own (r, D), read off the eigenphases
+    that also give the exact diamond distance it includes; F and D must then
+    be x's own to float64 resolution (F to 4 eps, D^2 to 8 eps), or
+    ValueError. When u is supplied the (r, u) bound is included. The hybrid
+    is the minimum of the (r, u) and (F, D) bounds present. family_rtol
+    widens the two-point family test on D^2, used when (F, D) carry
+    statistical noise.
     """
-    r = min(max(1.0 - F, 0.0), 1.0)
-    c, flags = _certified_overlap_ld(F, D, d, family_rtol)
-    b_fd_val = _bound_from_overlap(c)
+    _check_fd(F, D)
+    r = 1.0 - F
+    if x is not None:
+        s = fd_from_unitary(x)
+        eps = np.finfo(float).eps
+        if abs(F - s.F) > 4 * eps or abs(D * D - s.D * s.D) > 8 * eps:
+            raise ValueError(
+                f"(F, D) = ({F}, {D}) are not the moments ({s.F}, {s.D}) of x"
+            )
+        r, D = s.r, s.D
+    deficit, flags = _certified_deficit_ld(r, D, d, family_rtol)
+    b_fd_val = _bound_from_deficit(deficit)
+    r = min(max(r, 0.0), 1.0)
 
     bf_raw = bound_fidelity_only(r, d)
     if bf_raw > 1.0:
@@ -433,7 +482,7 @@ def certificate_bundle(
         b_ru=bru,
         b_fd=b_fd_val,
         b_hybrid=b_fd_val if winner == "fd" else bru,
-        c_value=float(c),
+        c_value=float(1 - deficit),
         b_fidelity_only_raw=bf_raw,
         b_ru_raw=bru_raw,
         hybrid_winner=winner,

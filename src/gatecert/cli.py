@@ -28,7 +28,7 @@ SWEEP_COLUMNS = (
     "model,n,param,F,D,r,d_exact,b_fidelity_only,b_ru_at_u,b_fd,b_hybrid,flags,"
     "b_fidelity_only_raw,b_ru_at_u_raw"
 )
-ESTIMATE_COLUMNS = "model,n,param,M,N,seed,F_hat,D_hat,truncated,b_fidelity_only,b_fd"
+ESTIMATE_COLUMNS = "model,n,param,M,N,seed,F_hat,D_hat,truncated,b_fidelity_only,b_fd,flags"
 
 
 class _UsageError(Exception):
@@ -120,6 +120,7 @@ def cmd_estimate(args) -> int:
                     str(int(result.truncated)),
                     _fmt(bundle.b_fidelity_only),
                     _fmt(bundle.b_fd),
+                    str(int(bundle.flags)),
                 ]
             )
         )

@@ -38,10 +38,11 @@ class UnitaryOperator:
 
     The residual is the max-abs entry of X†X - 1; construction fails when it
     exceeds UNITARITY_TOL. The wrapped array is made read-only so instances can
-    be shared across threads.
+    be shared across threads. eigenvalues_unitary stores the spectrum on the
+    instance the first time it is asked, so every reader shares one eigensolve.
     """
 
-    __slots__ = ("matrix", "unitarity_residual")
+    __slots__ = ("matrix", "unitarity_residual", "_eigenvalues")
 
     def __init__(self, matrix):
         m = _as_square_matrix(matrix)
@@ -54,6 +55,7 @@ class UnitaryOperator:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "unitarity_residual", residual)
+        object.__setattr__(self, "_eigenvalues", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("UnitaryOperator is immutable")
@@ -70,14 +72,6 @@ def _trace_ld(a: np.ndarray) -> np.clongdouble:
     # longdouble accumulation: downstream moment formulas cancel heavily and
     # need the trace accurate to better than d*eps
     return np.sum(np.diag(a).astype(np.clongdouble))
-
-
-def _trace_of_square_ld(a: np.ndarray) -> np.clongdouble:
-    """tr(A^2) in O(d^2) as sum_ij A_ij A_ji, without forming the product."""
-    # multiplied in place, so one d x d extended-precision array is held
-    prod = a.astype(np.clongdouble)
-    prod *= a.T
-    return np.sum(prod)
 
 
 def _turned_phases(m: np.ndarray):
@@ -112,8 +106,11 @@ def eigenvalues_unitary(u: UnitaryOperator) -> np.ndarray:
 
     A spectrum whose phases all lie within arccos(_HERMITIAN_MIN_COS) of the
     trace's phase c comes from one Hermitian eigensolve as e^{i (c + phase)};
-    any other goes through the general eigensolver.
+    any other goes through the general eigensolver. The read-only result is
+    kept on u, so later calls return it without solving again.
     """
+    if u._eigenvalues is not None:
+        return u._eigenvalues
     d = u.dim
     try:
         turned = _turned_phases(u.matrix)
@@ -134,6 +131,8 @@ def eigenvalues_unitary(u: UnitaryOperator) -> np.ndarray:
         raise EigensolverError(
             f"eigenvalue sum deviates from trace by {trace_resid:.3e}"
         )
+    lam.setflags(write=False)
+    object.__setattr__(u, "_eigenvalues", lam)
     return lam
 
 

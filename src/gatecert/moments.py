@@ -12,7 +12,17 @@ The map is inverted by pq_from_fd. A seeded Haar Monte Carlo estimator
 provides a fully independent cross-check of the closed forms.
 
 D^2 = E2 - F^2 cancels to fourth order in the error angle near the identity,
-so the trace sums and moment combinations run in extended precision
+and so does r = 1 - F to second order, so neither is taken from the traces.
+Both come from the eigenphases theta_j: with s_jk = 2 sin^2((theta_j -
+theta_k)/2), S = sum_{j != k} s_jk, R_j = sum_k s_jk, N = d (d+1) and
+B = N (d+2) (d+3),
+
+    r   = S / N,
+    D^2 = [4 sum_j (R_j - S/d)^2 + 2 sum_{j != k} (s_jk - S/(d(d-1)))^2
+           + 4 S^2 / (d (d^2 - 1))] / B,
+
+a sum of nonnegative terms with no cancellation, evaluated in float64 in
+O(d^2). F itself is read off tr X, summed in extended precision
 (np.longdouble; 80-bit on x86-64 Linux) before rounding to float64.
 """
 
@@ -25,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import UnitaryOperator, _trace_ld, _trace_of_square_ld
+from .linalg import UnitaryOperator, _trace_ld, eigenvalues_unitary
 
 _LD = np.longdouble
 _LD_ZERO = _LD(0)
@@ -33,8 +43,9 @@ _LD_ZERO = _LD(0)
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Haar-moment data of one error unitary: F, D, r = 1 - F, E2 = D^2 + F^2,
-    and the squared spectral invariants P2 = P^2, Q2 = Q^2."""
+    """Haar-moment data of one error unitary: F, D, the infidelity r (1 - F
+    without the rounding of F), E2 = D^2 + F^2, and the squared spectral
+    invariants P2 = P^2, Q2 = Q^2."""
 
     dim: int
     F: float
@@ -59,50 +70,54 @@ class HaarMCResult(NamedTuple):
     stderr_E2: float
 
 
-def _moments_from_invariants_ld(d: int, P2, Q2):
-    dd = _LD(d)
-    F = (dd + P2) / (dd * (dd + 1))
-    E2 = (2 * dd * (dd + 3) + 4 * (dd + 2) * P2 + Q2) / (
-        dd * (dd + 1) * (dd + 2) * (dd + 3)
-    )
-    return F, E2
+def _spectral_moments(lam: np.ndarray):
+    """(r, D^2) in float64 from the eigenvalues lam of a unitary, by the
+    eigenphase closed form in the module docstring. The one d x d array is
+    float64, worked in place."""
+    d = lam.size
+    if d < 2:
+        return 0.0, 0.0
+    theta = np.angle(lam)
+    s = np.subtract.outer(theta, theta)
+    s *= 0.5
+    np.sin(s, out=s)
+    np.square(s, out=s)
+    s *= 2.0
+    row = s.sum(axis=1)
+    total = float(row.sum())
+    row -= total / d
+    s -= total / (d * (d - 1))
+    np.fill_diagonal(s, 0.0)
+    np.square(s, out=s)
+    n = d * (d + 1)
+    big = n * (d + 2) * (d + 3)
+    d2 = 4.0 * float(row @ row) + 2.0 * float(s.sum()) + 4.0 * total * total / (d * (d * d - 1))
+    return total / n, d2 / big
 
 
 def fd_from_unitary(x: UnitaryOperator) -> MomentSummary:
-    """Average fidelity and fidelity deviation of the error unitary x."""
+    """Average fidelity and fidelity deviation of the error unitary x.
+
+    F comes from tr X, and r and D from the eigenphases (module docstring).
+    They are the eigenvalues that diamond_exact reads, so x is eigensolved
+    once for both."""
     d = x.dim
+    dd = _LD(d)
     t1 = _trace_ld(x.matrix)
-    t2 = _trace_of_square_ld(x.matrix)
     P2 = np.abs(t1) ** 2
-    Q2 = np.abs(t2 + t1 * t1) ** 2
-    F, E2 = _moments_from_invariants_ld(d, P2, Q2)
-    D = np.sqrt(np.maximum(E2 - F * F, _LD_ZERO))
+    F = (dd + P2) / (dd * (dd + 1))
+    lam = eigenvalues_unitary(x)
+    r, D2 = _spectral_moments(lam)
+    Q2 = np.abs(np.sum(lam.astype(np.clongdouble) ** 2) + t1 * t1) ** 2
     return MomentSummary(
         dim=d,
         F=float(F),
-        D=float(D),
-        r=float(1 - F),
-        E2=float(E2),
+        D=math.sqrt(D2),
+        r=r,
+        E2=float(_LD(D2) + F * F),
         P2=float(P2),
         Q2=float(Q2),
     )
-
-
-def _pq_from_fd_ld(F, D, d: int):
-    """(P^2, Q^2) from (F, D) in longdouble; raw values before clamping."""
-    dd = _LD(d)
-    F = _LD(F)
-    D = _LD(D)
-    P2_raw = dd * (dd + 1) * F - dd
-    E2 = D * D + F * F
-    Q2_raw = (
-        dd * (dd + 1) * (dd + 2) * (dd + 3) * E2
-        - 2 * dd * (dd + 3)
-        - 4 * (dd + 2) * P2_raw
-    )
-    P2 = np.clip(P2_raw, _LD_ZERO, dd * dd)
-    Q2 = np.clip(Q2_raw, _LD_ZERO, (dd + dd * dd) ** 2)
-    return P2, Q2, P2_raw, Q2_raw
 
 
 def pq_from_fd(F: float, D: float, d: int) -> PQInvariants:
@@ -120,7 +135,12 @@ def pq_from_fd(F: float, D: float, d: int) -> PQInvariants:
             "at d = 2, D = (1 - F)/sqrt(5)",
             stacklevel=2,
         )
-    P2, Q2, P2_raw, Q2_raw = _pq_from_fd_ld(F, D, d)
+    dd, F, D = _LD(d), _LD(F), _LD(D)
+    P2_raw = dd * (dd + 1) * F - dd
+    E2 = D * D + F * F
+    Q2_raw = dd * (dd + 1) * (dd + 2) * (dd + 3) * E2 - 2 * dd * (dd + 3) - 4 * (dd + 2) * P2_raw
+    P2 = np.clip(P2_raw, _LD_ZERO, dd * dd)
+    Q2 = np.clip(Q2_raw, _LD_ZERO, (dd + dd * dd) ** 2)
     return PQInvariants(float(P2), float(Q2), float(P2_raw), float(Q2_raw))
 
 

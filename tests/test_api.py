@@ -54,12 +54,16 @@ def test_removed_names_are_not_exported():
 
 
 def test_removed_constants_stay_removed():
-    # the three-point grid search's knobs, the blocked trace and the |det|
-    # check that the unitarity residual already implies
+    # the three-point grid search's knobs, the fixed two-point tolerance on
+    # Q, the blocked trace and the trace of the square that the eigenphase
+    # moments replace, and the |det| check that the unitarity residual
+    # already implies
     for module, name in (
         (gatecert.certify, "_PINNED_GRID"),
         (gatecert.certify, "_SUBSCAN_CHUNK"),
+        (gatecert.certify, "_TWO_POINT_RTOL"),
         (gatecert.linalg, "_TRACE_BLOCK_ROWS"),
+        (gatecert.linalg, "_trace_of_square_ld"),
         (gatecert.linalg, "_DET_TOL"),
         (gatecert.linalg, "_DET_CHECK_MAX_DIM"),
     ):

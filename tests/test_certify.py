@@ -24,13 +24,13 @@ from gatecert import (
 from gatecert.certify import (
     _CLD,
     _ENDPOINT_TOL,
+    _FAMILY_RTOL,
     _LD,
-    _TWO_POINT_RTOL,
     _pinned_max_span,
+    _relaxation_root,
     _split_resultant,
-    _two_point_span,
+    _two_point_sin2,
 )
-from gatecert.moments import _pq_from_fd_ld
 from gatecert.verify import _near_identity_unitary
 
 CZ_GRID = (0.01, 0.05, 0.1, 0.3, 0.7, 1.2)
@@ -107,6 +107,18 @@ def test_bound_ru_values():
     assert bound_ru(0.01, 1.0, 2) == pytest.approx(0.34641016151377546)
     with pytest.raises(ValueError):
         bound_ru(0.001, 0.5, 4)  # strongly negative radicand
+
+
+def test_unitarity_outside_unit_interval_is_rejected():
+    # a NaN u gave b_ru = b_hybrid = NaN with "ru" as the hybrid winner, an
+    # infinite one an infinite bound, and u = 2 a clamped one
+    for u in (math.nan, math.inf, 2.0, 1.0 + 1e-9, -0.1):
+        with pytest.raises(ValueError):
+            bound_ru(0.01, u, 4)
+        with pytest.raises(ValueError):
+            certificate_bundle(4, 0.99, 0.005, u=u)
+    # within the 1e-12 rounding slack above 1, u is a unitary's
+    assert bound_ru(0.01, 1.0 + 1e-13, 4) == pytest.approx(bound_ru(0.01, 1.0, 4))
 
 
 def test_bound_ru_u1_collapse_ratio():
@@ -199,6 +211,23 @@ def test_bundle_invariants():
         assert 0.0 <= bundle.c_value <= 1.0
         for b in (bundle.b_fidelity_only, bundle.b_ru, bundle.b_fd, bundle.b_hybrid):
             assert 0.0 <= b <= 1.0
+
+
+def test_bundle_with_unitary_certifies_its_own_moments():
+    # with x the bundle reads r and D off x's eigenphases: at phi = 1e-6 the
+    # CZ certificate is |sin(phi/2)|, although 1 - F keeps only about four
+    # digits of r there
+    phi = 1e-6
+    x = build_cz_error(phi)
+    s = fd_from_unitary(x)
+    bundle = certificate_bundle(4, s.F, s.D, u=1.0, x=x)
+    assert bundle.b_fd == pytest.approx(math.sin(phi / 2), rel=1e-12)
+    assert bundle.d_exact == pytest.approx(math.sin(phi / 2), rel=1e-12)
+    # moments that are not x's own, beyond float64 resolution, are refused
+    s = fd_from_unitary(build_cz_error(0.3))
+    for F, D in ((s.F - 1e-12, s.D), (s.F, s.D * (1 + 1e-6))):
+        with pytest.raises(ValueError):
+            certificate_bundle(4, F, D, x=build_cz_error(0.3))
 
 
 def test_bundle_without_unitarity():
@@ -313,7 +342,7 @@ def _grid_resid(g, p, q, r, sgn, P, Q):
         return np.where(ok, np.abs(wg) - Q, np.nan), hg
 
 
-def _pinned_max_span_grid(P, Q, d, family_rtol):
+def _pinned_max_span_grid(P, Q, d):
     """The three-point search as a root search on a 4096-point grid per
     split, with a 33-point sub-scan and a 90-step bisection of every marked
     interval: the reference that the algebraic solve of _pinned_max_span
@@ -323,10 +352,6 @@ def _pinned_max_span_grid(P, Q, d, family_rtol):
     grid_points = 4096
     P = _LD(P)
     Q = _LD(Q)
-    two_point = _two_point_span(P, Q, d, family_rtol)
-    if two_point is not None:
-        return two_point
-
     grid = np.linspace(1e-9, np.pi, grid_points)
     eg = np.exp(1j * grid)
     eg2 = eg * eg
@@ -387,9 +412,10 @@ def _spectrum_fd(phases):
 
 
 def _pq(F, D, d):
-    """(P, Q) in extended precision as _certified_overlap_ld derives them."""
-    P2, Q2, _, _ = _pq_from_fd_ld(F, D, d)
-    return np.sqrt(P2), np.sqrt(Q2)
+    """(P, Q) in extended precision as the certificate derives them from
+    r = 1 - F and D."""
+    _, P, Q, *_ = _relaxation_root(1.0 - F, D, d)
+    return P, Q
 
 
 def _search_reached(F, D, d, margin):
@@ -419,8 +445,8 @@ def _three_point_spectrum(rng, d):
 
 
 def _assert_matches_oracle(P, Q, d, tol=1e-12):
-    span = _pinned_max_span(P, Q, d, _TWO_POINT_RTOL)
-    oracle = _pinned_max_span_grid(P, Q, d, _TWO_POINT_RTOL)
+    span = _pinned_max_span(P, Q, d)
+    oracle = _pinned_max_span_grid(P, Q, d)
     assert (span is None) == (oracle is None)
     if span is not None:
         assert abs(span - oracle) <= tol
@@ -439,8 +465,10 @@ def test_pinned_search_matches_scalar_oracle():
 def test_pinned_search_two_point_and_no_bracket():
     for d, gap, p in ((4, 0.7, 1), (8, 1.3, 3), (8, 0.4, 2), (16, 0.4, 5)):
         F, D = _spectrum_fd(np.repeat([0.0, gap], [d - p, p]))
-        span = _assert_matches_oracle(*_pq(F, D, d), d)
-        assert span == pytest.approx(gap, abs=1e-9)
+        # on the family the gap is closed-form
+        dP = _relaxation_root(1.0 - F, D, d)[0]
+        sin2 = _two_point_sin2(dP, D, d, _FAMILY_RTOL)
+        assert 2 * math.asin(math.sqrt(sin2)) == pytest.approx(gap, abs=1e-9)
         if d > 8:
             continue
         # just off the family the search runs, through the tangential
@@ -467,6 +495,36 @@ def test_pinned_search_near_identity():
         if _search_reached(F, D, d, 1e-9):
             _assert_matches_oracle(*_pq(F, D, d), d, tol=1e-8)
             done += 1
+
+
+def test_deviation_coordinate_forms_are_identities():
+    # the certificate's forms in (r, D), checked in exact arithmetic: the
+    # relaxation radicand against (d-2)(dQ + d^2 - (d+2) P^2), with
+    # B (r^2 + D^2) = 2N(d+1)(d+2) r - dQ, and every two-point family's
+    # D^2 = kappa_p dP^2 and sin^2(g/2) = dP/(4pq) against its traces
+    sp = pytest.importorskip("sympy")
+    d, r, Q = sp.symbols("d r Q", positive=True)
+    n, k = d * (d + 1), (d + 1) * (d + 2)
+    dQ = n**2 - Q**2
+    trace_form = (d - 2) * (d * Q + d**2 - (d + 2) * (d**2 - n * r))
+    deviation_form = (d - 2) * d * (2 * n * k * r - dQ - k * r * dQ / (n + Q)) / (n + Q)
+    assert sp.cancel(deviation_form - trace_form) == 0
+
+    c = sp.symbols("c", real=True)
+    s = sp.sqrt(1 - c**2)  # the family's gap g has cos g = c
+    for d in (4, 5, 8):
+        n, big = d * (d + 1), d * (d + 1) * (d + 2) * (d + 3)
+        for p in range(1, d):
+            q = d - p
+            t1 = (q + p * c, p * s)
+            w = (q + p * (2 * c**2 - 1) + t1[0] ** 2 - t1[1] ** 2, 2 * p * c * s + 2 * t1[0] * t1[1])
+            P2, Q2 = t1[0] ** 2 + t1[1] ** 2, w[0] ** 2 + w[1] ** 2
+            F = (d + P2) / n
+            E2 = (2 * d * (d + 3) + 4 * (d + 2) * P2 + Q2) / big
+            dP = d**2 - P2
+            kappa = (sp.Rational((q - p) ** 2 + d, p * q * d) - sp.Rational(2, n)) / big
+            assert sp.expand(E2 - F**2 - kappa * dP**2) == 0
+            assert sp.expand(dP / (4 * p * q) - (1 - c) / 2) == 0
 
 
 def test_split_resultant_is_degree_six_in_cos_g():
@@ -534,7 +592,7 @@ def test_pinned_search_against_constrained_optimization():
             rng = np.random.default_rng([seed, d])
             phases, F, D = _three_point_spectrum(rng, d)
             P, Q = _pq(F, D, d)
-            span = _pinned_max_span(P, Q, d, _TWO_POINT_RTOL)
+            span = _pinned_max_span(P, Q, d)
             # the generating spectrum turned to start at 0 and listed with its
             # largest phase first, then random spreads
             t = np.sort(phases - phases.min())

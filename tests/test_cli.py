@@ -129,6 +129,50 @@ def test_estimate_identity_is_exact(tmp_path):
     assert rows[0]["truncated"] == "0"
 
 
+def test_estimate_flags_column(tmp_path):
+    # the certificate's flags are the last column; every toffoli row at 0.1
+    # clamps the fidelity-only bound at 1
+    out = tmp_path / "tof.csv"
+    argv = "estimate --model toffoli --param 0.1 --seed 3 --repeats 5 --out".split()
+    assert main(argv + [str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header == (
+        "model,n,param,M,N,seed,F_hat,D_hat,truncated,b_fidelity_only,b_fd,flags"
+    ).split(",")
+    assert len(rows) == 5
+    for row in rows:
+        assert int(row["flags"]) & gatecert.certify.CertFlags.BOUND_CLAMPED
+
+
+def test_sweep_row_eigensolves_once(tmp_path, monkeypatch):
+    # F comes from tr X; r, D and d_exact all read one spectrum per row. The
+    # small angles take the Hermitian route, the large ones the general
+    # solver after the Hermitian route declined
+    turned, general = [], []
+    real_turned, real_eigvals = gatecert.linalg._turned_phases, np.linalg.eigvals
+
+    def count_turned(m):
+        result = real_turned(m)
+        turned.append(result is not None)
+        return result
+
+    def count_eigvals(a):
+        if np.ndim(a) == 2:  # the three-point search's companion solves are batched
+            general.append(a.shape)
+        return real_eigvals(a)
+
+    monkeypatch.setattr(gatecert.linalg, "_turned_phases", count_turned)
+    monkeypatch.setattr(np.linalg, "eigvals", count_eigvals)
+    for model in ("cz", "toffoli"):
+        turned.clear()
+        general.clear()
+        argv = f"sweep --model {model} --min 1e-3 --max 3 --steps 6 --log-grid --out".split()
+        assert main(argv + [str(tmp_path / "s.csv")]) == 0
+        assert len(turned) == 6
+        assert len(general) == turned.count(False)
+        assert 0 < len(general) < 6
+
+
 def test_estimate_usage_errors(tmp_path):
     out = str(tmp_path / "x.csv")
     base = ["estimate", "--model", "cz", "--param", "0.3", "--out", out]
@@ -190,10 +234,10 @@ def test_verify_detects_broken_certificate(monkeypatch, capsys):
     # mutation sanity: a broken certified overlap must fail CZ tightness
     import gatecert.certify as ce
 
-    def broken(F, D, d, family_rtol=None):
-        return ce._LD(1.0), ce.CertFlags.NONE
+    def broken(r, D, d, family_rtol=None):
+        return ce._LD(0.0), ce.CertFlags.NONE  # 1 - c = 0: c = 1, b_fd = 0
 
-    monkeypatch.setattr(ce, "_certified_overlap_ld", broken)
+    monkeypatch.setattr(ce, "_certified_deficit_ld", broken)
     rc = main(["verify"])
     assert rc == 3
     assert "[FAIL] cz-tightness" in capsys.readouterr().out

@@ -13,7 +13,7 @@ from gatecert import (
     gate_matrix,
     haar_random_unitary,
 )
-from gatecert.linalg import _trace_ld, _trace_of_square_ld
+from gatecert.linalg import _trace_ld
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -28,20 +28,6 @@ def test_trace_examples():
     diag = np.diag([1, 1, 1, np.exp(1j * phi)])
     assert complex(_trace_ld(diag)) == pytest.approx(3 + np.exp(1j * phi))
     assert complex(_trace_ld(SZ)) == pytest.approx(0)
-
-
-def test_trace_of_square_examples():
-    assert complex(_trace_of_square_ld(np.eye(5, dtype=complex))) == pytest.approx(5)
-    phi = 0.8
-    diag = np.diag([1, 1, 1, np.exp(1j * phi)])
-    assert complex(_trace_of_square_ld(diag)) == pytest.approx(3 + np.exp(2j * phi))
-
-
-def test_trace_of_square_matches_full_product():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        a = random_matrix(rng, 8)
-        assert abs(complex(_trace_of_square_ld(a)) - np.trace(a @ a)) < 1e-12
 
 
 def test_trace_cyclicity():
@@ -147,13 +133,6 @@ def test_eigenvalues_fallback_is_general_solver(case):
         m = (v * np.exp(1j * np.array([edge, -edge] * 8))) @ v.conj().T
     u = UnitaryOperator(m)
     assert np.array_equal(eigenvalues_unitary(u), np.linalg.eigvals(u.matrix))
-
-
-@pytest.mark.parametrize("d", [2, 3, 8, 33, 100, 1024])
-def test_blocked_trace_of_square_is_bit_identical(d):
-    a = random_matrix(np.random.default_rng(d), d)
-    al = a.astype(np.clongdouble)
-    assert _trace_of_square_ld(a) == np.sum(al * al.T)
 
 
 # The involutory and projector-squared exponentials live in

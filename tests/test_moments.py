@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,6 +8,7 @@ from gatecert import (
     UnitaryOperator,
     build_cz_error,
     build_model_error,
+    eigenvalues_unitary,
     fd_from_unitary,
     haar_mc_moments,
     haar_random_unitary,
@@ -50,6 +52,60 @@ def test_single_qubit_rotation_infidelity():
         x = UnitaryOperator(np.diag([np.exp(-1j * delta), np.exp(1j * delta)]))
         s = fd_from_unitary(x)
         assert s.r == pytest.approx((2.0 / 3.0) * math.sin(delta) ** 2, abs=1e-14)
+
+
+def _mpmath_moments(theta):
+    """(r, D^2) of diag(e^{i theta}) from its traces at 60 digits, which
+    absorb the fourth-order cancellation of E2 - F^2."""
+    with mpmath.workdps(60):
+        lam = [mpmath.expj(mpmath.mpf(float(t))) for t in theta]
+        d = len(lam)
+        t1 = mpmath.fsum(lam)
+        t2 = mpmath.fsum(v * v for v in lam)
+        n = d * (d + 1)
+        F = (d + abs(t1) ** 2) / n
+        E2 = (2 * d * (d + 3) + 4 * (d + 2) * abs(t1) ** 2 + abs(t2 + t1 * t1) ** 2) / (
+            n * (d + 2) * (d + 3)
+        )
+        return 1 - F, E2 - F * F
+
+
+@pytest.mark.parametrize("model,n", [("cz", None), ("toffoli", None), ("qft", 3), ("qft", 4)])
+def test_eigenphase_moments_against_mpmath(model, n):
+    # r and D from the float64 eigenphases, against the same phases in
+    # mpmath, down to errors where 1 - F and E2 - F^2 keep no digit in float64
+    for phi in np.geomspace(1e-8, 1e-1, 15):
+        x = build_model_error(model, float(phi), n)
+        r_ref, d2_ref = _mpmath_moments(np.angle(eigenvalues_unitary(x)))
+        s = fd_from_unitary(x)
+        assert abs(s.r - r_ref) <= 1e-13 * r_ref
+        assert abs(s.D - mpmath.sqrt(d2_ref)) <= 1e-13 * mpmath.sqrt(d2_ref)
+
+
+def _trace_fd(x):
+    """(F, D) from tr X and tr X^2 = sum_ij X_ij X_ji in extended precision,
+    the trace route the eigenphase form replaced. D^2 = E2 - F^2 cancels to
+    fourth order in the error angle, so this is an oracle only away from the
+    identity."""
+    d = x.dim
+    t1 = np.sum(np.diag(x.matrix).astype(np.clongdouble))
+    t2 = np.sum(x.matrix.astype(np.clongdouble) * x.matrix.T)
+    n = d * (d + 1)
+    F = (d + abs(t1) ** 2) / n
+    E2 = (2 * d * (d + 3) + 4 * (d + 2) * abs(t1) ** 2 + abs(t2 + t1 * t1) ** 2) / (
+        n * (d + 2) * (d + 3)
+    )
+    return float(F), float(np.sqrt(E2 - F * F))
+
+
+def test_moments_match_trace_route_away_from_identity():
+    for model, n in (("cz", None), ("toffoli", None), ("qft", 3), ("qft", 4)):
+        for phi in (1e-2, 0.1, 0.5, 1.5):
+            x = build_model_error(model, phi, n)
+            s = fd_from_unitary(x)
+            F, D = _trace_fd(x)
+            assert s.F == F
+            assert abs(s.D - D) <= 1e-6 * D
 
 
 def test_pq_identity_case():
