@@ -4,11 +4,9 @@ the average gate fidelity F and the fidelity deviation D."""
 from .certify import (
     CertFlags,
     CertificateBundle,
-    bound_fd,
     bound_fidelity_only,
     bound_ru,
     certificate_bundle,
-    certified_overlap,
     diamond_exact,
     min_overlap_exact,
     tightness_witness,
@@ -64,13 +62,11 @@ __all__ = [
     "PQInvariants",
     "UnitarityError",
     "UnitaryOperator",
-    "bound_fd",
     "bound_fidelity_only",
     "bound_ru",
     "build_cz_error",
     "build_model_error",
     "certificate_bundle",
-    "certified_overlap",
     "certify_from_estimates",
     "circuit_unitary",
     "diamond_exact",

@@ -3,7 +3,8 @@
 Exact diamond distance and minimum overlap of a unitary error from the
 largest gap between its eigenphases, the fidelity-only conversion bound, the
 (r, u) unitarity-assisted bound, the (F, D) moment-assisted bound through the
-certified overlap c(F, D), and the hybrid minimum of the two.
+certified overlap c(F, D), and the hybrid minimum of the two, all from
+certificate_bundle, the one entry from (F, D) to a certificate.
 
 c(F, D) lower-bounds the smallest minimum-overlap m(X) among unitaries X
 whose spectral invariants P = |tr X| and Q = |tr X^2 + (tr X)^2| match the
@@ -55,7 +56,7 @@ import numpy as np
 # not called here: bench/run.py traces the hull routines under these names
 from .geometry import convex_hull, distance_origin_to_hull  # noqa: F401
 from .linalg import UnitaryOperator, eigenvalues_unitary
-from .moments import fd_from_unitary
+from .moments import _check_fd, fd_from_unitary
 
 _LD = np.longdouble
 _CLD = np.clongdouble
@@ -349,23 +350,12 @@ def _bound_from_deficit(e) -> float:
     return float(np.sqrt(e * (2 - e)))
 
 
-def _check_fd(F: float, D: float) -> None:
-    """Reject (F, D) that no error can produce: non-finite values, F outside
-    [0, 1] beyond the 1e-12 rounding slack, or a negative D."""
-    if not (math.isfinite(F) and math.isfinite(D)):
-        raise ValueError(f"F and D must be finite, got F = {F}, D = {D}")
-    if not 0.0 <= F <= 1.0 + 1e-12:
-        raise ValueError(f"fidelity F must lie in [0, 1], got {F}")
-    if D < 0:
-        raise ValueError(f"deviation D must be nonnegative, got {D}")
-
-
 def _certified_deficit_ld(r, D, d: int, family_rtol: float = _FAMILY_RTOL):
     """1 - c at infidelity r and deviation D in extended precision, plus
     warning flags."""
     if d < 4:
         raise ValueError(
-            "certified_overlap requires d >= 4; at d = 2, D = (1 - F)/sqrt(5) is fixed by F"
+            "the (F, D) certificate requires d >= 4; at d = 2, D = (1 - F)/sqrt(5) is fixed by F"
         )
     dP, P, Q, _, deficit, bulk_excess, flags = _relaxation_root(r, D, d)
     if deficit >= 1:
@@ -383,20 +373,6 @@ def _certified_deficit_ld(r, D, d: int, family_rtol: float = _FAMILY_RTOL):
     if span >= float(_LD_PI):
         return _LD_ONE, flags
     return 2 * np.sin(_LD(span) / 4) ** 2, flags
-
-
-def certified_overlap(F: float, D: float, d: int) -> float:
-    """Certified lower bound on the minimum overlap m(X) from (F, D)."""
-    _check_fd(F, D)
-    deficit, _ = _certified_deficit_ld(1.0 - F, D, d)
-    return float(1 - deficit)
-
-
-def bound_fd(F: float, D: float, d: int) -> float:
-    """Moment-assisted worst-case bound sqrt(1 - c(F, D)^2)."""
-    _check_fd(F, D)
-    deficit, _ = _certified_deficit_ld(1.0 - F, D, d)
-    return _bound_from_deficit(deficit)
 
 
 def tightness_witness(F: float, D: float, d: int) -> UnitaryOperator:
@@ -435,20 +411,23 @@ def certificate_bundle(
     x: UnitaryOperator | None = None,
     family_rtol: float = _FAMILY_RTOL,
 ) -> CertificateBundle:
-    """Assemble every certificate for one data point.
+    """Every certificate for one data point; the one way from (F, D) to b_fd
+    and c_value = c(F, D), which need d >= 4.
 
-    Measured data are certified at r = 1 - F. When the error unitary x is
-    supplied, the bundle certifies x's own (r, D), read off the eigenphases
-    that also give the exact diamond distance it includes; F and D must then
-    be x's own to float64 resolution (F to 4 eps, D^2 to 8 eps), or
-    ValueError. When u is supplied the (r, u) bound is included. The hybrid
-    is the minimum of the (r, u) and (F, D) bounds present. family_rtol
-    widens the two-point family test on D^2, used when (F, D) carry
-    statistical noise.
+    Measured data are certified at r = 1 - F. Given the error unitary x, of
+    dimension d or ValueError, the bundle certifies x's own (r, D): the
+    moments fd_from_unitary keeps on x, from the eigenphases that also give
+    the exact diamond distance. F and D must then be x's own to float64
+    resolution (F to 4 eps, D^2 to 8 eps), or ValueError. When u is supplied
+    the (r, u) bound is included. The hybrid is the minimum of the (r, u)
+    and (F, D) bounds present. family_rtol widens the two-point family test
+    on D^2, used when (F, D) carry statistical noise.
     """
     _check_fd(F, D)
     r = 1.0 - F
     if x is not None:
+        if d != x.dim:
+            raise ValueError(f"d = {d} is not the dimension {x.dim} of x")
         s = fd_from_unitary(x)
         eps = np.finfo(float).eps
         if abs(F - s.F) > 4 * eps or abs(D * D - s.D * s.D) > 8 * eps:

@@ -39,10 +39,11 @@ class UnitaryOperator:
     The residual is the max-abs entry of X†X - 1; construction fails when it
     exceeds UNITARITY_TOL. The wrapped array is made read-only so instances can
     be shared across threads. eigenvalues_unitary stores the spectrum on the
-    instance the first time it is asked, so every reader shares one eigensolve.
+    instance the first time it is asked, and fd_from_unitary its moments
+    beside it, so every reader shares one eigensolve and one moment pass.
     """
 
-    __slots__ = ("matrix", "unitarity_residual", "_eigenvalues")
+    __slots__ = ("matrix", "unitarity_residual", "_eigenvalues", "_moments")
 
     def __init__(self, matrix):
         m = _as_square_matrix(matrix)
@@ -56,6 +57,7 @@ class UnitaryOperator:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "unitarity_residual", residual)
         object.__setattr__(self, "_eigenvalues", None)
+        object.__setattr__(self, "_moments", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("UnitaryOperator is immutable")

@@ -100,7 +100,10 @@ def fd_from_unitary(x: UnitaryOperator) -> MomentSummary:
 
     F comes from tr X, and r and D from the eigenphases (module docstring).
     They are the eigenvalues that diamond_exact reads, so x is eigensolved
-    once for both."""
+    once for both. The summary is kept on x beside the spectrum, and later
+    calls, such as certificate_bundle's, return it without recomputing."""
+    if x._moments is not None:
+        return x._moments
     d = x.dim
     dd = _LD(d)
     t1 = _trace_ld(x.matrix)
@@ -109,7 +112,7 @@ def fd_from_unitary(x: UnitaryOperator) -> MomentSummary:
     lam = eigenvalues_unitary(x)
     r, D2 = _spectral_moments(lam)
     Q2 = np.abs(np.sum(lam.astype(np.clongdouble) ** 2) + t1 * t1) ** 2
-    return MomentSummary(
+    s = MomentSummary(
         dim=d,
         F=float(F),
         D=math.sqrt(D2),
@@ -118,6 +121,19 @@ def fd_from_unitary(x: UnitaryOperator) -> MomentSummary:
         P2=float(P2),
         Q2=float(Q2),
     )
+    object.__setattr__(x, "_moments", s)
+    return s
+
+
+def _check_fd(F: float, D: float) -> None:
+    """Reject (F, D) that no error can produce: non-finite values, F outside
+    [0, 1] beyond the 1e-12 rounding slack, or a negative D."""
+    if not (math.isfinite(F) and math.isfinite(D)):
+        raise ValueError(f"F and D must be finite, got F = {F}, D = {D}")
+    if not 0.0 <= F <= 1.0 + 1e-12:
+        raise ValueError(f"fidelity F must lie in [0, 1], got {F}")
+    if D < 0:
+        raise ValueError(f"deviation D must be nonnegative, got {D}")
 
 
 def pq_from_fd(F: float, D: float, d: int) -> PQInvariants:
@@ -125,8 +141,10 @@ def pq_from_fd(F: float, D: float, d: int) -> PQInvariants:
 
     Outputs are clamped to their unitarity caps [0, d^2] and [0, (d + d^2)^2];
     the raw values are returned alongside so callers can detect data that is
-    inconsistent with a unitary error (possible with noisy estimates).
+    inconsistent with a unitary error (possible with noisy estimates). Data
+    that no error can produce raise ValueError, as in the certificates.
     """
+    _check_fd(F, D)
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     if d < 4:

@@ -42,7 +42,7 @@ def check_cz_tightness(full: bool):
         s = moments.fd_from_unitary(x)
         d_exact = certify.diamond_exact(x)
         worst_d = max(worst_d, abs(d_exact - abs(math.sin(phi / 2.0))))
-        worst_t = max(worst_t, abs(certify.bound_fd(s.F, s.D, 4) - d_exact))
+        worst_t = max(worst_t, abs(certify.certificate_bundle(4, s.F, s.D).b_fd - d_exact))
     ok = worst_t <= 1e-9 and worst_d <= 1e-9
     return ok, f"max |b_fd - d_exact| = {worst_t:.2e}, max d_exact err = {worst_d:.2e} (tol 1e-9)"
 
@@ -202,7 +202,7 @@ def check_witness_roundtrip(full: bool):
         pairs += 1
         ws = moments.fd_from_unitary(witness)
         worst_fd = max(worst_fd, abs(ws.F - s.F), abs(ws.D - s.D))
-        c = certify.certified_overlap(s.F, s.D, d)
+        c = certify.certificate_bundle(d, s.F, s.D).c_value
         worst_m = max(worst_m, abs(certify.min_overlap_exact(witness) - c))
     ok = worst_fd <= 1e-9 and worst_m <= 1e-9
     return ok, (

@@ -14,14 +14,17 @@ BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 # wrappers that only tests used, the hull routines that nothing in the
 # package calls any more, the per-state record type that pass counts replace,
-# the hybrid minimum that certificate_bundle takes itself, and the gate
-# builders and matrix exponentials that gate_matrix replaces
+# the hybrid minimum and the (F, D) entries whose values certificate_bundle
+# returns itself, and the gate builders and matrix exponentials that
+# gate_matrix replaces
 REMOVED = (
     "ShotRecord",
     "adjoint",
+    "bound_fd",
     "bound_hybrid",
     "build_qft_pair",
     "build_toffoli_pair",
+    "certified_overlap",
     "convex_hull",
     "d2_deviation",
     "distance_origin_to_hull",

@@ -9,13 +9,11 @@ from scipy.optimize import minimize
 from gatecert import (
     CertFlags,
     UnitaryOperator,
-    bound_fd,
     bound_fidelity_only,
     bound_ru,
     build_cz_error,
     build_model_error,
     certificate_bundle,
-    certified_overlap,
     diamond_exact,
     fd_from_unitary,
     min_overlap_exact,
@@ -130,26 +128,27 @@ def test_bound_ru_u1_collapse_ratio():
 
 
 def test_certified_overlap_identity():
-    assert certified_overlap(1.0, 0.0, 4) == pytest.approx(1.0)
-    assert bound_fd(1.0, 0.0, 4) == pytest.approx(0.0, abs=1e-12)
+    bundle = certificate_bundle(4, 1.0, 0.0)
+    assert bundle.c_value == pytest.approx(1.0)
+    assert bundle.b_fd == pytest.approx(0.0, abs=1e-12)
 
 
 def test_certified_overlap_cz_saturates():
     for phi in CZ_GRID + (math.pi / 2, math.pi):
         s = fd_from_unitary(build_cz_error(phi))
-        assert certified_overlap(s.F, s.D, 4) == pytest.approx(
+        assert certificate_bundle(4, s.F, s.D).c_value == pytest.approx(
             math.cos(phi / 2), abs=1e-10
         )
 
 
 def test_certified_overlap_small_dimension_rejected():
     with pytest.raises(ValueError):
-        certified_overlap(0.99, 0.001, 2)
+        certificate_bundle(2, 0.99, 0.001)
 
 
 def test_out_of_range_data_is_rejected():
     # no error has F outside [0, 1], a negative D or a non-finite moment:
-    # every (F, D) entry point refuses such data instead of certifying it
+    # certificate_bundle and tightness_witness refuse such data
     bad = [
         (1.5, 0.0),
         (1.0 + 1e-9, 0.0),
@@ -160,31 +159,30 @@ def test_out_of_range_data_is_rejected():
         (0.99, math.inf),
     ]
     for F, D in bad:
-        for entry in (certified_overlap, bound_fd, tightness_witness):
-            with pytest.raises(ValueError):
-                entry(F, D, 4)
+        with pytest.raises(ValueError):
+            tightness_witness(F, D, 4)
         with pytest.raises(ValueError):
             certificate_bundle(4, F, D)
     # F within the 1e-12 rounding slack above 1 is the identity's data
-    assert bound_fd(1.0 + 1e-13, 0.0, 4) == 0.0
+    assert certificate_bundle(4, 1.0 + 1e-13, 0.0).b_fd == 0.0
 
 
 def test_certified_overlap_toffoli_validity():
     x = build_model_error("toffoli", 0.1)
     s = fd_from_unitary(x)
-    assert certified_overlap(s.F, s.D, 8) <= min_overlap_exact(x) + 1e-9
+    assert certificate_bundle(8, s.F, s.D).c_value <= min_overlap_exact(x) + 1e-9
 
 
 def test_bound_fd_cz_tightness():
     for phi in CZ_GRID:
         s = fd_from_unitary(build_cz_error(phi))
-        assert abs(bound_fd(s.F, s.D, 4) - abs(math.sin(phi / 2))) <= 1e-9
+        assert abs(certificate_bundle(4, s.F, s.D).b_fd - abs(math.sin(phi / 2))) <= 1e-9
 
 
 def test_bound_fd_qft_orderings():
     x = build_model_error("qft", 0.05, 4)
     s = fd_from_unitary(x)
-    b_fd = bound_fd(s.F, s.D, 16)
+    b_fd = certificate_bundle(16, s.F, s.D).b_fd
     assert diamond_exact(x) <= b_fd + 1e-9
     if b_fd > bound_fidelity_only(s.r, 16):
         warnings.warn("moment-assisted bound looser than fidelity-only at this point")
@@ -230,6 +228,16 @@ def test_bundle_with_unitary_certifies_its_own_moments():
             certificate_bundle(4, F, D, x=build_cz_error(0.3))
 
 
+def test_bundle_rejects_unitary_of_another_dimension():
+    # x's moments read as data of another dimension would be certified
+    # against that dimension's invariants, not x's own
+    x = build_cz_error(0.3)
+    s = fd_from_unitary(x)
+    for d in (2, 8, 16):
+        with pytest.raises(ValueError, match="dimension"):
+            certificate_bundle(d, s.F, s.D, u=1.0, x=x)
+
+
 def test_bundle_without_unitarity():
     s = fd_from_unitary(build_cz_error(0.2))
     bundle = certificate_bundle(4, s.F, s.D)
@@ -272,7 +280,7 @@ def test_monotonicity_of_c_in_deviation():
         for dv in ds:
             if not _relaxation_attainable(F, float(dv), d):
                 continue
-            c = certified_overlap(F, float(dv), d)
+            c = certificate_bundle(d, F, float(dv)).c_value
             if last is not None:
                 assert c <= last + 1e-10
             last = c
@@ -299,7 +307,7 @@ def test_witness_roundtrip_random():
         ws = fd_from_unitary(w)
         assert abs(ws.F - s.F) <= 1e-9
         assert abs(ws.D - s.D) <= 1e-9
-        c = certified_overlap(s.F, s.D, d)
+        c = certificate_bundle(d, s.F, s.D).c_value
         assert abs(min_overlap_exact(w) - c) <= 1e-9
         assert c <= min_overlap_exact(x) + 1e-9
 
@@ -539,8 +547,17 @@ def test_split_resultant_is_degree_six_in_cos_g():
         assert np.abs(np.polyval(coef, other) - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
-def test_bundle_b_fd_equals_bound_fd_bitwise():
-    # both read sqrt(1 - c^2) off one helper, on every branch of c(F, D)
+def _diamond_from_phases(phases):
+    """sin((2 pi - G)/2) with G the largest gap of the sorted phases on the
+    circle, or 1 when G <= pi."""
+    th = np.sort(phases)
+    gap = max(np.diff(th).max(), th[0] + 2 * math.pi - th[-1])
+    return math.sin((2 * math.pi - gap) / 2) if gap > math.pi else 1.0
+
+
+def test_bundle_b_fd_is_valid_on_every_branch():
+    # measured (F, D) on every branch of c(F, D) certify at least the
+    # diamond distance of the spectrum they came from
     rng = np.random.default_rng(31)
     spectra = [np.repeat([0.0, 0.7], [3, 1]), np.repeat([0.0, 0.9], [1, 7])]  # two-point
     spectra += [rng.uniform(-0.3, 0.3, d) for d in (4, 8, 16)]  # relaxation
@@ -548,8 +565,7 @@ def test_bundle_b_fd_equals_bound_fd_bitwise():
     spectra.append(np.repeat([0.0, 0.5, -0.9], [70, 1, 1]))  # beyond the search cap
     for phases in spectra:
         F, D = _spectrum_fd(phases)
-        d = len(phases)
-        assert certificate_bundle(d, F, D).b_fd == bound_fd(F, D, d)
+        assert certificate_bundle(len(phases), F, D).b_fd >= _diamond_from_phases(phases) - 1e-12
 
 
 def _slsqp_max_span(P, Q, d, starts):
@@ -604,7 +620,5 @@ def test_pinned_search_against_constrained_optimization():
             assert found is not None
             assert abs(found - span) <= 1e-6
 
-            th = np.sort(phases)
-            gap = max(np.diff(th).max(), th[0] + 2 * math.pi - th[-1])
-            d_ref = math.sin((2 * math.pi - gap) / 2) if gap > math.pi else 1.0
-            assert bound_fd(F, D, d) >= d_ref - 1e-12
+            d_ref = _diamond_from_phases(phases)
+            assert certificate_bundle(d, F, D).b_fd >= d_ref - 1e-12

@@ -5,6 +5,7 @@ import pytest
 
 import gatecert.certify
 import gatecert.linalg
+import gatecert.moments
 from gatecert.cli import main
 
 
@@ -145,11 +146,13 @@ def test_estimate_flags_column(tmp_path):
 
 
 def test_sweep_row_eigensolves_once(tmp_path, monkeypatch):
-    # F comes from tr X; r, D and d_exact all read one spectrum per row. The
-    # small angles take the Hermitian route, the large ones the general
-    # solver after the Hermitian route declined
-    turned, general = [], []
+    # F comes from tr X; r, D and d_exact all read one spectrum per row, and
+    # the certificate reads the moments the row already took. The small
+    # angles take the Hermitian route, the large ones the general solver
+    # after the Hermitian route declined
+    turned, general, moment_passes = [], [], []
     real_turned, real_eigvals = gatecert.linalg._turned_phases, np.linalg.eigvals
+    real_moments = gatecert.moments._spectral_moments
 
     def count_turned(m):
         result = real_turned(m)
@@ -161,14 +164,21 @@ def test_sweep_row_eigensolves_once(tmp_path, monkeypatch):
             general.append(a.shape)
         return real_eigvals(a)
 
+    def count_moments(lam):
+        moment_passes.append(lam.size)
+        return real_moments(lam)
+
     monkeypatch.setattr(gatecert.linalg, "_turned_phases", count_turned)
     monkeypatch.setattr(np.linalg, "eigvals", count_eigvals)
+    monkeypatch.setattr(gatecert.moments, "_spectral_moments", count_moments)
     for model in ("cz", "toffoli"):
         turned.clear()
         general.clear()
+        moment_passes.clear()
         argv = f"sweep --model {model} --min 1e-3 --max 3 --steps 6 --log-grid --out".split()
         assert main(argv + [str(tmp_path / "s.csv")]) == 0
         assert len(turned) == 6
+        assert len(moment_passes) == 6
         assert len(general) == turned.count(False)
         assert 0 < len(general) < 6
 

@@ -137,6 +137,14 @@ def test_pq_clamps_inconsistent_data():
     assert pq.P2 == 0.0
 
 
+def test_pq_rejects_data_no_error_produces():
+    # the certificate's input rule: F outside [0, 1], a negative D and
+    # non-finite data are no error's moments, so they map to no invariants
+    for F, D in ((1.5, 0.0), (0.99, -0.01), (0.99, math.nan), (math.inf, 0.0)):
+        with pytest.raises(ValueError):
+            pq_from_fd(F, D, 4)
+
+
 def test_pq_small_dimension_warns():
     with pytest.warns(UserWarning):
         pq_from_fd(0.9, 0.02, 2)
