@@ -278,9 +278,15 @@ def _pinned_max_span(P, Q, d: int):
     t = np.cos((np.arange(7) + 0.5) * np.pi / 7)
     R = _split_resultant(mid + half * t, p, q, r, P64 * P64, float(Q) ** 2)
     coef = np.linalg.solve(np.vander(t), R.T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = -(coef[1:] / coef[0]).T
+    if not np.all(np.isfinite(top)):
+        # a split whose leading coefficient vanished: give the search up, so
+        # the caller falls back to the relaxation root, which is always valid
+        return None
     companion = np.zeros((p.size, 6, 6))
     companion[:, 1:, :-1] = np.eye(5)
-    companion[:, 0] = -(coef[1:] / coef[0]).T
+    companion[:, 0] = top
     roots = np.linalg.eigvals(companion).real
     inside = np.abs(roots) <= 1
     g = np.arccos((mid + half * roots)[inside]).astype(_LD)

@@ -10,6 +10,7 @@ digits, and LF line endings, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -175,7 +176,10 @@ def _write_lines(path: str, lines: list[str]) -> None:
         raise _UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built on the first call. Parsing leaves it
+    unchanged, so every later call in the process reuses it."""
     parser = _Parser(prog="gatecert", description=__doc__)
     parser.add_argument("--version", action="version", version=f"gatecert {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -215,9 +219,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (EigensolverError, UnitarityError) as exc:
         print(f"gatecert: numerical failure: {exc}", file=sys.stderr)

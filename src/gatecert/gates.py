@@ -6,6 +6,12 @@ Every gate-sequence product is written in acting order: the first gate in a
 CircuitSpec acts first on the state, so the circuit unitary is G_L ... G_2 G_1.
 Qubit 1 is the most significant bit of the computational-basis index; this is
 the one module that knows about qubits and gate targets.
+
+Matrices are built gate by gate with left_apply_gate, which updates its
+argument in place through reshape views, touching only the rows a gate
+moves. The error unitary X = U_ideal^dag U_exp of a circuit is the
+implemented circuit followed by the ideal circuit's adjoint gates in reverse
+order, so no ideal d x d matrix is held and no d^3 product runs.
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ CNOT_GENERATOR = np.kron(PROJ_ONE, SIGMA_X)
 _CNOT_GENERATOR_SQ = CNOT_GENERATOR @ CNOT_GENERATOR
 _EYE2 = np.eye(2)
 _EYE4 = np.eye(4)
+
+# rows of the 2 x 2 and 4 x 4 identities, compared with a gate's rows
+_IDENTITY_ROWS = {m: np.eye(m).tolist() for m in (2, 4)}
 
 _IDEAL = {"H": HADAMARD, "T": T_GATE, "Tdag": T_GATE.conj(), "CNOT": CNOT_GATE}
 _ARITY = {"H": 1, "T": 1, "Tdag": 1, "CNOT": 2, "CP": 2}
@@ -109,32 +118,81 @@ def gate_matrix(spec: GateSpec, epsilon: float | None = None) -> np.ndarray:
     return rot @ ideal
 
 
-def left_apply_gate(matrix: np.ndarray, gate: np.ndarray, targets, n: int) -> np.ndarray:
-    """Return (gate embedded on `targets` of n qubits) @ matrix without forming
-    the 2^n x 2^n embedded gate.
+def _pair_views(u: np.ndarray, targets) -> list[np.ndarray]:
+    """Views of u's rows with the last target's bit as axis -2: one view for
+    a one-qubit gate, and for a two-qubit gate one per value of the first
+    target's bit. View i holds the row blocks of the gate's rows 2 i and
+    2 i + 1, at index 0 and 1 of axis -2."""
+    if len(targets) == 1:
+        return [u.reshape(1 << (targets[0] - 1), 2, -1)]
+    a, b = targets
+    if a < b:
+        view = u.reshape(1 << (a - 1), 2, 1 << (b - a - 1), 2, -1)
+        return [view[:, 0], view[:, 1]]
+    view = u.reshape(1 << (b - 1), 2, 1 << (a - b - 1), 2, -1)
+    return [view[:, :, :, 0].swapaxes(1, 2), view[:, :, :, 1].swapaxes(1, 2)]
 
-    Nothing is checked: matrix is a 2^n x 2^n complex array, the targets are
-    distinct, lie in [1, n], and number k with gate of shape 2^k x 2^k, as a
-    GateSpec inside its CircuitSpec guarantees.
+
+def left_apply_gate(u: np.ndarray, gate: np.ndarray, targets) -> np.ndarray:
+    """Left-multiply u by the gate embedded on the target qubits, in place,
+    and return u.
+
+    u's rows fall into one block per value of the target qubits' bits, and
+    the gate acts on these 2^k blocks as on basis states. A block whose row
+    of the gate is the identity's is not touched. When the gate's other rows
+    are diagonal, each of their blocks is multiplied by its phase in place:
+    for ideal T and T^dag that is half of the rows, for CP a quarter
+    (over-rotated T moves both halves, over-rotated CP still one quarter).
+    Otherwise the gate's 2 x 2 sub-blocks update the two blocks of the last
+    target at once, by one batched product per sub-block: for H the two
+    half-row blocks, for CNOT, ideal or over-rotated, only the two blocks
+    where the control is 1.
+
+    Nothing is checked: u is a C-contiguous complex array with 2^n rows, n
+    qubits, so that its reshapes are views and the update lands in u; the
+    gate is invertible, of shape 2^k x 2^k; the k targets are distinct and
+    lie in [1, n], as a GateSpec inside its CircuitSpec guarantees.
     """
-    d = 1 << n
-    k = len(targets)
-    axes = [t - 1 for t in targets]
-    rest = [i for i in range(n) if i not in axes]
-    tens = matrix.reshape((2,) * n + (d,))
-    tens = np.transpose(tens, axes + rest + [n]).reshape(1 << k, -1)
-    tens = gate @ tens
-    tens = tens.reshape([2] * k + [2] * (n - k) + [d])
-    undo = list(np.argsort(axes + rest))
-    return np.ascontiguousarray(np.transpose(tens, undo + [n]).reshape(d, d))
+    g = gate.tolist()
+    identity = _IDENTITY_ROWS[len(g)]
+    moved = [i for i, row in enumerate(g) if row != identity[i]]
+    pairs = _pair_views(u, targets)
+    if not any(any(g[i][:i]) or any(g[i][i + 1 :]) for i in moved):
+        for i in moved:
+            pairs[i >> 1][..., i & 1, :] *= g[i][i]
+        return u
+    halves = sorted({i >> 1 for i in moved})
+    mixed = []
+    for i in halves:
+        top, bottom = g[2 * i], g[2 * i + 1]
+        terms = [
+            gate[2 * i : 2 * i + 2, 2 * k : 2 * k + 2] @ pair
+            for k, pair in enumerate(pairs)
+            if any(top[2 * k : 2 * k + 2] + bottom[2 * k : 2 * k + 2])
+        ]
+        mixed.append(sum(terms[1:], terms[0]))
+    for i, value in zip(halves, mixed):
+        pairs[i][...] = value
+    return u
+
+
+def _gate_matrices(circuit: CircuitSpec, epsilon: float | None) -> list[np.ndarray]:
+    """The matrix of each of the circuit's gates, in acting order. A matrix
+    depends on the gate's kind and angle only, so gates that share both
+    share one matrix."""
+    built = {}
+    for spec in circuit.gates:
+        key = (spec.kind, spec.angle)
+        if key not in built:
+            built[key] = gate_matrix(spec, epsilon)
+    return [built[spec.kind, spec.angle] for spec in circuit.gates]
 
 
 def circuit_unitary(circuit: CircuitSpec, epsilon: float | None = None) -> np.ndarray:
     """Product of the circuit's gates (ideal when epsilon is None)."""
-    d = 1 << circuit.n
-    u = np.eye(d, dtype=np.complex128)
-    for spec in circuit.gates:
-        u = left_apply_gate(u, gate_matrix(spec, epsilon), spec.targets, circuit.n)
+    u = np.eye(1 << circuit.n, dtype=np.complex128)
+    for spec, gate in zip(circuit.gates, _gate_matrices(circuit, epsilon)):
+        left_apply_gate(u, gate, spec.targets)
     return u
 
 
@@ -178,35 +236,39 @@ def build_cz_error(phi_epsilon: float) -> UnitaryOperator:
     return UnitaryOperator(controlled_phase(phi_epsilon))
 
 
-def error_unitary(ideal: UnitaryOperator, implemented) -> UnitaryOperator:
-    """Effective error unitary: ideal-adjoint times the implemented matrix.
+def error_unitary(circuit: CircuitSpec, epsilon: float) -> UnitaryOperator:
+    """The circuit's effective error unitary X = U_ideal^dag U_exp at
+    over-rotation epsilon, validated unitary.
 
-    Only the product is validated: with the ideal unitary, X^dag X = V^dag V,
-    so the product's unitarity check is also the implemented matrix's.
+    U_exp is built gate by gate, then the ideal circuit's adjoint gates are
+    applied to it in reverse order (H and CNOT are their own adjoints, T and
+    T^dag swap, CP(theta) becomes CP(-theta)), all in place through
+    left_apply_gate: no ideal matrix is formed and no matrix product runs.
+    At epsilon = 0 every gate is its ideal and X is the identity exactly.
     """
-    implemented = np.asarray(implemented, dtype=np.complex128)
-    if implemented.shape != ideal.matrix.shape:
-        raise ValueError(f"dimension mismatch: {ideal.matrix.shape} vs {implemented.shape}")
-    if np.array_equal(ideal.matrix, implemented):
-        # bitwise-equal factors cancel exactly; skip the rounded product so a
-        # zero error parameter yields the identity exactly
-        return UnitaryOperator(np.eye(ideal.dim))
-    return UnitaryOperator(ideal.matrix.conj().T @ implemented)
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    if epsilon == 0:
+        return UnitaryOperator(np.eye(1 << circuit.n))
+    u = circuit_unitary(circuit, epsilon)
+    ideal = _gate_matrices(circuit, None)
+    for spec, gate in zip(reversed(circuit.gates), reversed(ideal)):
+        left_apply_gate(u, gate.conj().T, spec.targets)
+    return UnitaryOperator(u)
 
 
 def model_errors(model: str, params, n: int | None = None):
     """Yield the effective error unitary of a named benchmark model at each
-    parameter in turn. The ideal circuit is built and validated once, before
-    the first step, and is freed with the generator."""
+    parameter in turn; the model's circuit is built once, before the first
+    step."""
     model_dimension(model, n)
     if model == "cz":
         for param in params:
             yield build_cz_error(param)
         return
     circ = toffoli_circuit() if model == "toffoli" else qft_circuit(n)
-    ideal = UnitaryOperator(circuit_unitary(circ))
     for param in params:
-        yield error_unitary(ideal, circuit_unitary(circ, param))
+        yield error_unitary(circ, param)
 
 
 def build_model_error(model: str, param: float, n: int | None = None) -> UnitaryOperator:

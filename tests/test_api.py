@@ -115,5 +115,6 @@ def test_bench_trace_targets_exist(monkeypatch):
 
     with run.patched(run.SpanRecorder(), targets) as rec:
         gatecert.gates.build_model_error("toffoli", 0.1)
-    # the ideal and the implemented circuit, 15 gates each
+    # the implemented circuit's 15 gates, then the ideal circuit's 15
+    # adjoint gates in reverse order
     assert rec.summary()["linalg.left_apply_gate"]["calls"] == 30

@@ -568,6 +568,23 @@ def test_bundle_b_fd_is_valid_on_every_branch():
         assert certificate_bundle(len(phases), F, D).b_fd >= _diamond_from_phases(phases) - 1e-12
 
 
+def test_pinned_search_gives_up_on_a_vanishing_leading_coefficient():
+    # near the identity a split's resultant can lose its leading coefficient;
+    # the search then yields to the relaxation root instead of dividing by
+    # zero (RuntimeWarning) and handing numpy a non-finite companion matrix
+    # (LinAlgError)
+    g = 10**-3.5
+    spectra = [np.repeat([0.0, g, g / 4], [6, 1, 1]), np.repeat([0.0, g, 0.75 * g], [1, 6, 1])]
+    for phases in spectra:
+        x = UnitaryOperator(np.diag(np.exp(1j * phases)))
+        s = fd_from_unitary(x)
+        d_ref = _diamond_from_phases(phases)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bundle in (certificate_bundle(8, s.F, s.D), certificate_bundle(8, s.F, s.D, x=x)):
+                assert bundle.b_fd >= d_ref, phases
+
+
 def _slsqp_max_span(P, Q, d, starts):
     """Largest spread theta_1 - theta_0 that multistart SLSQP finds over d
     free phases with theta_0 = 0 <= theta_i <= theta_1 <= pi (the global phase

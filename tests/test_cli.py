@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gatecert.certify
+import gatecert.cli
 import gatecert.linalg
 import gatecert.moments
 from gatecert.cli import main
@@ -270,3 +275,33 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_commands_in_one_process_match_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process; a sweep, a moments query and a
+    # usage error run back to back give what each gives in its own process
+    commands = [
+        ["sweep", "--model", "qft", "--n", "3", "--min", "1e-3", "--max", "0.3", "--steps", "4", "--out"],
+        ["moments", "--model", "toffoli", "--param", "0.1"],
+        ["sweep", "--model", "cz", "--steps", "1", "--out"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(gatecert.cli.__file__).parents[1])}
+    outcomes = []
+    for fresh in (False, True):
+        for i, argv in enumerate(commands):
+            out = tmp_path / f"{fresh}-{i}.csv"
+            argv = argv + [str(out)] if argv[-1] == "--out" else argv
+            if fresh:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "gatecert.cli", *argv],
+                    capture_output=True, text=True, env=env, check=False,
+                )
+                code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+            else:
+                code = main(argv)
+                stdout, stderr = capsys.readouterr()
+            outcomes.append((code, stdout, stderr, out.read_bytes() if out.exists() else None))
+    in_process, fresh = outcomes[:3], outcomes[3:]
+    assert [o[0] for o in in_process] == [0, 0, 1]
+    assert in_process == fresh
+    assert gatecert.cli._parser() is gatecert.cli._parser()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -149,8 +150,9 @@ def test_toffoli_ideal_is_permutation():
 
 
 def test_toffoli_error_identity_at_zero():
-    x = build_model_error("toffoli", 0.0)
-    assert np.abs(x.matrix - np.eye(8)).max() < 1e-12
+    # a zero error parameter yields the identity bitwise, not to rounding
+    for eps in (0.0, -0.0):
+        assert np.array_equal(build_model_error("toffoli", eps).matrix, np.eye(8))
 
 
 def test_toffoli_implemented_is_unitary():
@@ -180,7 +182,7 @@ def test_qft_n2_gate_list():
 def test_qft_error_identity_at_zero():
     for n in range(2, 7):
         x = build_model_error("qft", 0.0, n)
-        assert np.abs(x.matrix - np.eye(1 << n)).max() <= 1e-10
+        assert np.array_equal(x.matrix, np.eye(1 << n))
 
 
 def test_qft_uniform_superposition_from_zero_state():
@@ -196,38 +198,33 @@ def test_qft_range_check():
 
 
 def test_error_unitary_examples():
-    rng = np.random.default_rng(0)
-    u = UnitaryOperator(haar_random_unitary(4, rng))
-    assert np.abs(error_unitary(u, u.matrix).matrix - np.eye(4)).max() < 1e-12
-
-    phi, phi_eps = 0.5, 0.2
-    ideal = UnitaryOperator(np.diag([1, 1, 1, np.exp(1j * phi)]))
-    implemented = np.diag([1, 1, 1, np.exp(1j * (phi + phi_eps))])
-    x = error_unitary(ideal, implemented)
-    assert np.abs(x.matrix - np.diag([1, 1, 1, np.exp(1j * phi_eps)])).max() < 1e-12
+    # one over-rotated controlled phase: CP(phi)^dag CP((1 + eps) phi)
+    phi, eps = 0.5, 0.4
+    circ = CircuitSpec(2, (GateSpec("CP", (1, 2), phi),))
+    x = error_unitary(circ, eps)
+    assert np.abs(x.matrix - np.diag([1, 1, 1, np.exp(1j * eps * phi)])).max() < 1e-15
+    # one over-rotated T: its ideal part cancels, leaving exp(-i eps Z / 2)
+    x = error_unitary(CircuitSpec(1, (GateSpec("T", (1,)),)), eps)
+    assert np.abs(x.matrix - np.diag(np.exp([-0.5j * eps, 0.5j * eps]))).max() < 1e-15
 
 
 def test_global_phase_error_is_invisible():
-    rng = np.random.default_rng(1)
-    u = UnitaryOperator(haar_random_unitary(4, rng))
-    x = error_unitary(u, np.exp(1j * 0.9) * u.matrix)
-    s = fd_from_unitary(x)
+    # an error that is a pure global phase has F = 1 and D = 0
+    s = fd_from_unitary(UnitaryOperator(np.exp(1j * 0.9) * np.eye(4)))
     assert s.F == pytest.approx(1.0, abs=1e-12)
-    # D is the square root of a cancellation, so rounding in the u-dagger-u
-    # product leaves a sqrt(eps)-level floor; assert on D^2
     assert s.D**2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_moments_invariant_under_global_phase_of_implemented():
+    # a global phase on the implemented circuit is a global phase on X
     theta = 0.7
-    circ = toffoli_circuit()
-    ideal = UnitaryOperator(circuit_unitary(circ))
-    implemented = circuit_unitary(circ, 0.15)
-    x1 = error_unitary(ideal, implemented)
-    x2 = error_unitary(ideal, np.exp(1j * theta) * implemented)
-    s1, s2 = fd_from_unitary(x1), fd_from_unitary(x2)
-    assert abs(s1.F - s2.F) <= 1e-12
-    assert abs(s1.D - s2.D) <= 1e-12
+    x = error_unitary(toffoli_circuit(), 0.15)
+    rng = np.random.default_rng(1)
+    for matrix in (x.matrix, haar_random_unitary(4, rng)):
+        s1 = fd_from_unitary(UnitaryOperator(matrix))
+        s2 = fd_from_unitary(UnitaryOperator(np.exp(1j * theta) * matrix))
+        assert abs(s1.F - s2.F) <= 1e-12
+        assert abs(s1.D - s2.D) <= 1e-12
 
 
 def test_builder_continuity_near_zero():
@@ -249,10 +246,10 @@ def test_circuit_unitary_matches_embedding_product():
 
 
 def test_left_apply_gate_single_qubit():
-    out = left_apply_gate(np.eye(2, dtype=complex), SIGMA_X, (1,), 1)
+    out = left_apply_gate(np.eye(2, dtype=complex), SIGMA_X, (1,))
     assert np.array_equal(out, SIGMA_X)
     # sigma_x on qubit 2 of 2 maps |00> -> |01>
-    out = left_apply_gate(np.eye(4, dtype=complex), SIGMA_X, (2,), 2)
+    out = left_apply_gate(np.eye(4, dtype=complex), SIGMA_X, (2,))
     state = np.zeros(4)
     state[0] = 1.0
     assert np.allclose(out @ state, np.eye(4)[1])
@@ -261,7 +258,7 @@ def test_left_apply_gate_single_qubit():
 def test_left_apply_gate_cnot_enumeration():
     # oracle: CNOT with control=qubit1, target=qubit2 embedded in 3 qubits,
     # enumerated over all 8 basis states directly from the CNOT definition
-    out = left_apply_gate(np.eye(8, dtype=complex), CNOT_GATE, (1, 2), 3)
+    out = left_apply_gate(np.eye(8, dtype=complex), CNOT_GATE, (1, 2))
     for basis in range(8):
         b1, b2, b3 = (basis >> 2) & 1, (basis >> 1) & 1, basis & 1
         if b1 == 1:
@@ -279,18 +276,30 @@ def test_left_apply_gate_disjoint_supports_commute():
     g = haar_random_unitary(2, rng)
     h = haar_random_unitary(2, rng)
     eye = np.eye(8, dtype=complex)
-    a = left_apply_gate(left_apply_gate(eye, h, (3,), 3), g, (1,), 3)
-    b = left_apply_gate(left_apply_gate(eye, g, (1,), 3), h, (3,), 3)
+    # the kernel works in place, so each product starts from its own copy
+    a = left_apply_gate(left_apply_gate(eye.copy(), h, (3,)), g, (1,))
+    b = left_apply_gate(left_apply_gate(eye.copy(), g, (1,)), h, (3,))
     assert np.abs(a - b).max() < 1e-12
 
 
-def test_error_unitary_checks_the_implemented_matrix():
-    ideal = UnitaryOperator(circuit_unitary(toffoli_circuit()))
-    with pytest.raises(ValueError):
-        error_unitary(ideal, np.eye(4))
-    # the product's unitarity check is the implemented matrix's
-    with pytest.raises(UnitarityError):
-        error_unitary(ideal, 1.01 * circuit_unitary(toffoli_circuit(), 0.1))
+def test_error_unitary_checks_the_implemented_matrix(monkeypatch):
+    # X has the circuit's dimension, and a non-finite parameter is rejected
+    assert error_unitary(toffoli_circuit(), 0.1).matrix.shape == (8, 8)
+    for eps in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            error_unitary(toffoli_circuit(), eps)
+    # X = U_ideal^dag U_exp with U_ideal unitary, so X's unitarity check is
+    # the implemented circuit's: a corrupted over-rotated gate fails it
+    real = gates.gate_matrix
+
+    def corrupted(spec, epsilon=None):
+        gate = real(spec, epsilon)
+        return gate if epsilon is None else 1.01 * gate
+
+    monkeypatch.setattr(gates, "gate_matrix", corrupted)
+    for circ in (toffoli_circuit(), qft_circuit(4)):
+        with pytest.raises(UnitarityError):
+            error_unitary(circ, 0.1)
 
 
 @pytest.mark.parametrize("model,n", [("toffoli", None), ("qft", 3)])
@@ -303,8 +312,8 @@ def test_model_errors_validate_one_unitary_per_row(model, n, monkeypatch):
 
     monkeypatch.setattr(gates, "UnitaryOperator", counted)
     rows = list(gates.model_errors(model, [1e-4, 0.1, 0.3], n))
-    # the ideal once per command, then one error unitary per row
-    assert len(built) == 1 + len(rows)
+    # one error unitary per row, and no ideal circuit
+    assert len(built) == len(rows)
 
 
 @pytest.mark.parametrize("model,n", [("toffoli", None), ("qft", 3), ("qft", 5)])
@@ -314,3 +323,41 @@ def test_model_errors_match_single_builds_bitwise(model, n):
     params = [0.0, 1e-7, 3e-4, 0.05, 0.3]
     for param, x in zip(params, model_errors(model, params, n)):
         assert np.array_equal(x.matrix, build_model_error(model, param, n).matrix)
+
+
+GATE_KINDS = (("H", None), ("T", None), ("Tdag", None), ("CNOT", None), ("CP", 0.7))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_left_apply_gate_matches_embedding_on_haar_matrix(n):
+    # every kind, ideal and over-rotated, on every target tuple: adjacent,
+    # non-adjacent and reversed; the product lands in the argument itself
+    rng = np.random.default_rng(n)
+    for kind, angle in GATE_KINDS:
+        k = 2 if kind in ("CNOT", "CP") else 1
+        for targets in itertools.permutations(range(1, n + 1), k):
+            for eps in (None, 0.3):
+                gate = gate_matrix(GateSpec(kind, targets, angle), eps)
+                u = haar_random_unitary(1 << n, rng)
+                expect = embedded(gate, targets, n) @ u
+                out = left_apply_gate(u, gate, targets)
+                assert out is u
+                assert np.abs(u - expect).max() <= 1e-15 * (1 << n), (kind, targets, eps)
+
+
+@pytest.mark.parametrize("circ", [toffoli_circuit()] + [qft_circuit(n) for n in range(2, 7)])
+def test_adjoint_pass_inverts_the_circuit(circ, monkeypatch):
+    # with every gate forced to its ideal, X is the adjoint circuit times
+    # the circuit, built by the same passes as any other X
+    real = gates.gate_matrix
+    monkeypatch.setattr(gates, "gate_matrix", lambda spec, epsilon=None: real(spec))
+    x = error_unitary(circ, 0.1)
+    assert np.abs(x.matrix - np.eye(1 << circ.n)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("circ", [toffoli_circuit(), qft_circuit(3), qft_circuit(5), qft_circuit(8)])
+def test_error_unitary_matches_dense_product(circ):
+    ideal = circuit_unitary(circ)
+    for eps in (1e-7, 3e-4, 0.05, 0.3):
+        dense = ideal.conj().T @ circuit_unitary(circ, eps)
+        assert np.abs(error_unitary(circ, eps).matrix - dense).max() <= 1e-14, eps
