@@ -17,11 +17,14 @@ the deviation D. With N = d(d+1) and B = N(d+2)(d+3), two exact identities
 give the distances of the invariants from the identity's,
 
     dP = d^2 - P^2 = N r,
-    dQ = N^2 - Q^2 = 2N(d+1)(d+2) r - B (r^2 + D^2),
+    dQ = N^2 - Q^2 = 2N(d+1)(d+2) r - B (r^2 + D^2).
 
-and every quantity below is written in them without cancellation at leading
-order in the error angle (the trace forms cancel to fourth order near the
-identity). The Cauchy-Schwarz relaxation of the problem has the root
+That inversion of the moment map lives in one place,
+moments._moment_deviations, which both pq_from_fd and this certificate read.
+Every quantity below is written in (r, D, dP, dQ) without cancellation at
+leading order in the error angle (the trace forms cancel to fourth order
+near the identity). The Cauchy-Schwarz relaxation of the problem has the
+root
 
     b- = P/d - sqrt(R) / (2d),  R = (d-2) (dQ + d^2 - (d+2) P^2)
        = (d-2) d [B (r^2 + D^2) - (d+1)(d+2) r dQ/(N+Q)] / (N+Q),
@@ -56,7 +59,7 @@ import numpy as np
 # not called here: bench/run.py traces the hull routines under these names
 from .geometry import convex_hull, distance_origin_to_hull  # noqa: F401
 from .linalg import UnitaryOperator, eigenvalues_unitary
-from .moments import _check_fd, fd_from_unitary
+from .moments import _check_fd, _moment_deviations, fd_from_unitary
 
 _LD = np.longdouble
 _CLD = np.clongdouble
@@ -293,9 +296,11 @@ def _pinned_max_span(P, Q, d: int):
     p, q, r = (np.broadcast_to(v, roots.shape)[inside] for v in (p, q, r))
     g, p, q, r, sgn = np.broadcast_arrays(g, p, q, r, np.array([[1.0], [-1.0]]))
 
-    for _step in range(4):
-        f, _, slope = _pinned_resid(g, p, q, r, sgn, P, Q)
-        g = g - f / slope
+    # a zero slope sends g to inf or NaN; its residual is NaN, which keep drops
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _step in range(4):
+            f, _, slope = _pinned_resid(g, p, q, r, sgn, P, Q)
+            g = g - f / slope
     fr, hroot, _ = _pinned_resid(g, p, q, r, sgn, P, Q)
     hf = hroot.astype(np.float64)
     gf = g.astype(np.float64)
@@ -320,28 +325,21 @@ def _relaxation_root(r, D, d: int):
         1 - b- = [2 (d - P) + sqrt(R)] / (2d),
         a - 1  = [sqrt(R) / (d - 2) - (d - P)] / d,
 
-    with d - P = dP / (d + P). dP and dQ are clamped to their unitarity
-    ranges [0, d^2] and [0, N^2], which sets P2_CLAMPED or Q2_CLAMPED, and
+    with d - P = dP / (d + P). dP and dQ come from moments._moment_deviations,
+    whose clamps to the unitarity ranges set P2_CLAMPED and Q2_CLAMPED, and
     a negative R sets C_RADICAND_CLAMPED.
     """
+    dP, dQ, w, dP_clamped, dQ_clamped = _moment_deviations(r, D, d)
+    flags = CertFlags.NONE
+    if dP_clamped:
+        flags |= CertFlags.P2_CLAMPED
+    if dQ_clamped:
+        flags |= CertFlags.Q2_CLAMPED
     dd = _LD(d)
     n = dd * (dd + 1)
-    k = (dd + 1) * (dd + 2)
-    flags = CertFlags.NONE
-    dP = n * _LD(r)
-    if not 0 <= dP <= dd * dd:
-        flags |= CertFlags.P2_CLAMPED
-        dP = np.clip(dP, _LD_ZERO, dd * dd)
-    r = dP / n
-    w = n * (dd + 2) * (dd + 3) * (r * r + _LD(D) ** 2)  # B (r^2 + D^2)
-    dQ = 2 * n * k * r - w
-    if not 0 <= dQ <= n * n:
-        flags |= CertFlags.Q2_CLAMPED
-        dQ = np.clip(dQ, _LD_ZERO, n * n)
-        w = 2 * n * k * r - dQ
     P = np.sqrt(dd * dd - dP)
     Q = np.sqrt(n * n - dQ)
-    radicand = (dd - 2) * dd * (w - k * r * dQ / (n + Q)) / (n + Q)
+    radicand = (dd - 2) * dd * (w - (dd + 1) * (dd + 2) * (dP / n) * dQ / (n + Q)) / (n + Q)
     if radicand < 0:
         flags |= CertFlags.C_RADICAND_CLAMPED
     root = np.sqrt(max(radicand, _LD_ZERO))

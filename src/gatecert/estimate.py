@@ -137,8 +137,6 @@ def certify_from_estimates(result: EstimationResult, d: int) -> CertificateBundl
     the estimate's statistical resolution, so protocol estimates of family
     models track the theory curve instead of falling back to the relaxation.
     """
-    if d < 4:
-        raise ValueError("certification from estimates requires d >= 4")
     bundle = certificate_bundle(
         d, F=result.F_hat, D=result.D_hat, family_rtol=_family_tolerance(result)
     )

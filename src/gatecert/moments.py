@@ -8,8 +8,8 @@ E2 = D^2 + F^2 are fixed by two spectral invariants,
 via F = (d + P^2) / (d (d+1)) and
     E2 = (2d(d+3) + 4(d+2) P^2 + Q^2) / (d (d+1) (d+2) (d+3)).
 
-The map is inverted by pq_from_fd. A seeded Haar Monte Carlo estimator
-provides a fully independent cross-check of the closed forms.
+A seeded Haar Monte Carlo estimator provides a fully independent
+cross-check of the closed forms.
 
 D^2 = E2 - F^2 cancels to fourth order in the error angle near the identity,
 and so does r = 1 - F to second order, so neither is taken from the traces.
@@ -24,6 +24,15 @@ B = N (d+2) (d+3),
 a sum of nonnegative terms with no cancellation, evaluated in float64 in
 O(d^2). F itself is read off tr X, summed in extended precision
 (np.longdouble; 80-bit on x86-64 Linux) before rounding to float64.
+
+The inversion of the moment map lives in one place, _moment_deviations. It
+takes (r, D) to the distances of the invariants from the identity's,
+
+    dP = d^2 - P^2 = N r,
+    dQ = N^2 - Q^2 = 2N(d+1)(d+2) r - B (r^2 + D^2),
+
+which do not cancel near the identity. pq_from_fd reads it for (P^2, Q^2),
+and the certificate in certify reads it for its relaxation root.
 """
 
 from __future__ import annotations
@@ -43,24 +52,18 @@ _LD_ZERO = _LD(0)
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Haar-moment data of one error unitary: F, D, the infidelity r (1 - F
-    without the rounding of F), E2 = D^2 + F^2, and the squared spectral
-    invariants P2 = P^2, Q2 = Q^2."""
+    """Haar-moment data of one error unitary: F, D and the infidelity r
+    (1 - F without the rounding of F)."""
 
     dim: int
     F: float
     D: float
     r: float
-    E2: float
-    P2: float
-    Q2: float
 
 
 class PQInvariants(NamedTuple):
     P2: float
     Q2: float
-    P2_raw: float  # pre-clamp values kept for diagnostics
-    Q2_raw: float
 
 
 class HaarMCResult(NamedTuple):
@@ -106,21 +109,9 @@ def fd_from_unitary(x: UnitaryOperator) -> MomentSummary:
         return x._moments
     d = x.dim
     dd = _LD(d)
-    t1 = _trace_ld(x.matrix)
-    P2 = np.abs(t1) ** 2
-    F = (dd + P2) / (dd * (dd + 1))
-    lam = eigenvalues_unitary(x)
-    r, D2 = _spectral_moments(lam)
-    Q2 = np.abs(np.sum(lam.astype(np.clongdouble) ** 2) + t1 * t1) ** 2
-    s = MomentSummary(
-        dim=d,
-        F=float(F),
-        D=math.sqrt(D2),
-        r=r,
-        E2=float(_LD(D2) + F * F),
-        P2=float(P2),
-        Q2=float(Q2),
-    )
+    F = (dd + np.abs(_trace_ld(x.matrix)) ** 2) / (dd * (dd + 1))
+    r, D2 = _spectral_moments(eigenvalues_unitary(x))
+    s = MomentSummary(dim=d, F=float(F), D=math.sqrt(D2), r=r)
     object.__setattr__(x, "_moments", s)
     return s
 
@@ -136,13 +127,41 @@ def _check_fd(F: float, D: float) -> None:
         raise ValueError(f"deviation D must be nonnegative, got {D}")
 
 
-def pq_from_fd(F: float, D: float, d: int) -> PQInvariants:
-    """Invert the moment formulas: spectral invariants (P^2, Q^2) from (F, D).
+def _moment_deviations(r, D, d: int):
+    """The one inversion of the moment map: (dP, dQ) at infidelity r and
+    deviation D (module docstring), in extended precision.
 
-    Outputs are clamped to their unitarity caps [0, d^2] and [0, (d + d^2)^2];
-    the raw values are returned alongside so callers can detect data that is
-    inconsistent with a unitary error (possible with noisy estimates). Data
-    that no error can produce raise ValueError, as in the certificates.
+    dP is clamped to [0, d^2] and dQ to [0, N^2], the ranges a unitary
+    allows; r is taken as dP / N after its clamp. Returns (dP, dQ, w,
+    dP_clamped, dQ_clamped) with w = B (r^2 + D^2) as computed, so that no
+    caller rebuilds it as 2N(d+1)(d+2) r - dQ, which cancels near the
+    identity; only a clamp of dQ sets w that way.
+    """
+    dd = _LD(d)
+    n = dd * (dd + 1)
+    dP = n * _LD(r)
+    dP_clamped = not 0 <= dP <= dd * dd
+    if dP_clamped:
+        dP = np.clip(dP, _LD_ZERO, dd * dd)
+    r = dP / n
+    linear = 2 * n * (dd + 1) * (dd + 2) * r
+    w = n * (dd + 2) * (dd + 3) * (r * r + _LD(D) ** 2)
+    dQ = linear - w
+    dQ_clamped = not 0 <= dQ <= n * n
+    if dQ_clamped:
+        dQ = np.clip(dQ, _LD_ZERO, n * n)
+        w = linear - dQ
+    return dP, dQ, w, dP_clamped, dQ_clamped
+
+
+def pq_from_fd(F: float, D: float, d: int) -> PQInvariants:
+    """Invert the moment formulas: spectral invariants (P^2, Q^2) from (F, D),
+    as d^2 - dP and N^2 - dQ of _moment_deviations at r = 1 - F.
+
+    Outputs lie in their unitarity ranges [0, d^2] and [0, (d + d^2)^2], to
+    which data inconsistent with a unitary error (possible with noisy
+    estimates) are clamped. Data that no error can produce raise ValueError,
+    as in the certificates.
     """
     _check_fd(F, D)
     if d < 2:
@@ -153,13 +172,10 @@ def pq_from_fd(F: float, D: float, d: int) -> PQInvariants:
             "at d = 2, D = (1 - F)/sqrt(5)",
             stacklevel=2,
         )
-    dd, F, D = _LD(d), _LD(F), _LD(D)
-    P2_raw = dd * (dd + 1) * F - dd
-    E2 = D * D + F * F
-    Q2_raw = dd * (dd + 1) * (dd + 2) * (dd + 3) * E2 - 2 * dd * (dd + 3) - 4 * (dd + 2) * P2_raw
-    P2 = np.clip(P2_raw, _LD_ZERO, dd * dd)
-    Q2 = np.clip(Q2_raw, _LD_ZERO, (dd + dd * dd) ** 2)
-    return PQInvariants(float(P2), float(Q2), float(P2_raw), float(Q2_raw))
+    # 1 - F is exact in extended precision; in float64 it rounds for F < 1/2
+    dP, dQ, *_ = _moment_deviations(_LD(1) - _LD(F), D, d)
+    dd = _LD(d)
+    return PQInvariants(float(dd * dd - dP), float((dd * (dd + 1)) ** 2 - dQ))
 
 
 def single_fidelity(x: UnitaryOperator, psi) -> float:

@@ -77,11 +77,12 @@ def check_invariant_roundtrip(full: bool):
             x = UnitaryOperator(haar_random_unitary(d, rng))
             s = moments.fd_from_unitary(x)
             pq = moments.pq_from_fd(s.F, s.D, d)
-            worst = max(
-                worst,
-                abs(pq.P2 - s.P2) / s.P2,
-                abs(pq.Q2 - s.Q2) / s.Q2,
-            )
+            # the reference invariants straight from tr X and tr X^2
+            m = x.matrix.astype(np.clongdouble)
+            t1 = np.trace(m)
+            P2 = float(abs(t1) ** 2)
+            Q2 = float(abs(np.sum(m * m.T) + t1 * t1) ** 2)
+            worst = max(worst, abs(pq.P2 - P2) / P2, abs(pq.Q2 - Q2) / Q2)
     return worst <= 1e-9, f"max relative round-trip error = {worst:.2e} (tol 1e-9)"
 
 
@@ -98,7 +99,7 @@ def check_haar_mc_agreement(full: bool):
             mc = moments.haar_mc_moments(x, samples, seed=100 * d + i)
             for got, want, err in (
                 (mc.F_mc, s.F, mc.stderr_F),
-                (mc.E2_mc, s.E2, mc.stderr_E2),
+                (mc.E2_mc, s.D**2 + s.F**2, mc.stderr_E2),
             ):
                 comparisons += 1
                 pull = abs(got - want) / max(err, 1e-300)
@@ -139,7 +140,7 @@ def check_estimator_consistency(full: bool):
     pull_f = abs(f_hats.mean() - s_true.F) / (f_hats.std(ddof=1) / math.sqrt(seeds))
     d2_true = s_true.D**2
     pull_d2 = abs(d2_hats.mean() - d2_true) / (d2_hats.std(ddof=1) / math.sqrt(seeds))
-    var_pred = d2_true / m_states + (s_true.F - s_true.E2) / (m_states * n_shots)
+    var_pred = d2_true / m_states + (s_true.F - (d2_true + s_true.F**2)) / (m_states * n_shots)
     ratio = f_hats.var(ddof=1) / var_pred
     ok = pull_f <= 4.0 and pull_d2 <= 4.0 and 1.0 / 1.5 <= ratio <= 1.5
     return ok, (

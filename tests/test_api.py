@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -118,3 +119,13 @@ def test_bench_trace_targets_exist(monkeypatch):
     # the implemented circuit's 15 gates, then the ideal circuit's 15
     # adjoint gates in reverse order
     assert rec.summary()["linalg.left_apply_gate"]["calls"] == 30
+
+
+def test_moment_records_keep_only_what_is_read():
+    assert tuple(f.name for f in dataclasses.fields(gatecert.MomentSummary)) == (
+        "dim",
+        "F",
+        "D",
+        "r",
+    )
+    assert gatecert.PQInvariants._fields == ("P2", "Q2")

@@ -585,6 +585,24 @@ def test_pinned_search_gives_up_on_a_vanishing_leading_coefficient():
                 assert bundle.b_fd >= d_ref, phases
 
 
+def test_pinned_search_newton_polish_is_silent():
+    # a zero slope in the Newton polish sends g to inf or NaN; the residual
+    # filter drops that root, and numpy must not warn about the division
+    spectra = [
+        [3.933177137647687e-05, 4.036749558857906e-05, 4.329315032189135e-05,
+         4.175667364750391e-05, 3.862252012759e-05, -0.00010198250814383933],
+        [0.001739439325200969, 0.0017394452038422441, 0.0017394711464082005,
+         0.001739426849549089],
+    ]
+    for phases in spectra:
+        x = UnitaryOperator(np.diag(np.exp(1j * np.array(phases))))
+        s = fd_from_unitary(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bundle = certificate_bundle(len(phases), s.F, s.D, x=x)
+        assert bundle.b_fd >= bundle.d_exact, phases
+
+
 def _slsqp_max_span(P, Q, d, starts):
     """Largest spread theta_1 - theta_0 that multistart SLSQP finds over d
     free phases with theta_0 = 0 <= theta_i <= theta_1 <= pi (the global phase

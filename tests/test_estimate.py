@@ -180,7 +180,7 @@ def test_variance_scaling_over_mn_grid():
         f_hats = np.empty(seeds)
         for i in range(seeds):
             f_hats[i] = run_protocol(x, m_states, n_shots, seed=4000 + i).F_hat
-        predicted = s.D**2 / m_states + (s.F - s.E2) / (m_states * n_shots)
+        predicted = s.D**2 / m_states + (s.F - (s.D**2 + s.F**2)) / (m_states * n_shots)
         ratio = f_hats.var(ddof=1) / predicted
         assert 1.0 / 1.5 <= ratio <= 1.5
 
@@ -196,7 +196,7 @@ def test_naive_second_moment_bias_is_visible():
         f = k / n_shots
         fi2 = k * (k - 1) / (n_shots * (n_shots - 1))
         gaps[i] = (f**2).mean() - fi2.mean()
-    expected = (s.F - s.E2) / n_shots
+    expected = (s.F - (s.D**2 + s.F**2)) / n_shots
     assert abs(gaps.mean() - expected) <= 0.3 * expected
 
 

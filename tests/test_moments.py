@@ -31,9 +31,8 @@ def test_identity_moments():
     s = fd_from_unitary(UnitaryOperator(np.eye(4)))
     assert s.F == 1.0
     assert s.D == 0.0
-    assert s.E2 == pytest.approx(1.0, abs=1e-15)
-    assert s.P2 == pytest.approx(16.0)
-    assert s.Q2 == pytest.approx(400.0)
+    assert s.r == 0.0
+    assert s.D**2 + s.F**2 == pytest.approx(1.0, abs=1e-15)
 
 
 def test_cz_closed_forms():
@@ -82,19 +81,23 @@ def test_eigenphase_moments_against_mpmath(model, n):
         assert abs(s.D - mpmath.sqrt(d2_ref)) <= 1e-13 * mpmath.sqrt(d2_ref)
 
 
-def _trace_fd(x):
-    """(F, D) from tr X and tr X^2 = sum_ij X_ij X_ji in extended precision,
-    the trace route the eigenphase form replaced. D^2 = E2 - F^2 cancels to
-    fourth order in the error angle, so this is an oracle only away from the
-    identity."""
-    d = x.dim
+def _trace_invariants(x):
+    """(P^2, Q^2) from tr X and tr X^2 = sum_ij X_ij X_ji of the matrix, in
+    extended precision."""
     t1 = np.sum(np.diag(x.matrix).astype(np.clongdouble))
     t2 = np.sum(x.matrix.astype(np.clongdouble) * x.matrix.T)
+    return abs(t1) ** 2, abs(t2 + t1 * t1) ** 2
+
+
+def _trace_fd(x):
+    """(F, D) from tr X and tr X^2 in extended precision, the trace route
+    the eigenphase form replaced. D^2 = E2 - F^2 cancels to fourth order in
+    the error angle, so this is an oracle only away from the identity."""
+    d = x.dim
+    P2, Q2 = _trace_invariants(x)
     n = d * (d + 1)
-    F = (d + abs(t1) ** 2) / n
-    E2 = (2 * d * (d + 3) + 4 * (d + 2) * abs(t1) ** 2 + abs(t2 + t1 * t1) ** 2) / (
-        n * (d + 2) * (d + 3)
-    )
+    F = (d + P2) / n
+    E2 = (2 * d * (d + 3) + 4 * (d + 2) * P2 + Q2) / (n * (d + 2) * (d + 3))
     return float(F), float(np.sqrt(E2 - F * F))
 
 
@@ -125,16 +128,18 @@ def test_pq_roundtrip_random_unitaries():
     rng = np.random.default_rng(7)
     for d in (4, 8):
         for _ in range(100):
-            s = fd_from_unitary(UnitaryOperator(haar_random_unitary(d, rng)))
+            x = UnitaryOperator(haar_random_unitary(d, rng))
+            s = fd_from_unitary(x)
             pq = pq_from_fd(s.F, s.D, d)
-            assert abs(pq.P2 - s.P2) <= 1e-9 * s.P2
-            assert abs(pq.Q2 - s.Q2) <= 1e-9 * s.Q2
+            P2, Q2 = map(float, _trace_invariants(x))
+            assert abs(pq.P2 - P2) <= 1e-9 * P2
+            assert abs(pq.Q2 - Q2) <= 1e-9 * Q2
 
 
 def test_pq_clamps_inconsistent_data():
     pq = pq_from_fd(0.1, 0.0, 4)  # F below 1/(d+1): raw P^2 negative
-    assert pq.P2_raw < 0.0
     assert pq.P2 == 0.0
+    assert 0.0 <= pq.Q2 <= 20.0**2
 
 
 def test_pq_rejects_data_no_error_produces():
@@ -204,7 +209,7 @@ def test_global_phase_invariance():
     x = UnitaryOperator(haar_random_unitary(4, rng))
     y = UnitaryOperator(np.exp(1j * 0.7) * x.matrix)
     sx, sy = fd_from_unitary(x), fd_from_unitary(y)
-    for field in ("F", "D", "r", "E2", "P2", "Q2"):
+    for field in ("F", "D", "r"):
         assert abs(getattr(sx, field) - getattr(sy, field)) <= 1e-12 * max(
             1.0, abs(getattr(sx, field))
         )
@@ -212,7 +217,7 @@ def test_global_phase_invariance():
 
 def test_full_fourth_moment_formula_reduces_to_packaged_form():
     # the explicit fourth-moment numerator (with the interference term written
-    # out) must agree with the packaged Q^2 form used by fd_from_unitary
+    # out) must agree with D^2 + F^2 of fd_from_unitary
     rng = np.random.default_rng(12)
     for d in (4, 8):
         for _ in range(20):
@@ -228,7 +233,7 @@ def test_full_fourth_moment_formula_reduces_to_packaged_form():
             )
             e2_explicit = numerator / (d * (d + 1) * (d + 2) * (d + 3))
             s = fd_from_unitary(UnitaryOperator(x))
-            assert e2_explicit == pytest.approx(s.E2, abs=1e-13)
+            assert e2_explicit == pytest.approx(s.D**2 + s.F**2, abs=1e-13)
 
 
 def test_haar_mc_identity():
@@ -243,14 +248,14 @@ def test_haar_mc_matches_closed_form_cz():
     s = fd_from_unitary(x)
     mc = haar_mc_moments(x, 200_000, seed=42)
     assert abs(mc.F_mc - s.F) <= 4 * mc.stderr_F
-    assert abs(mc.E2_mc - s.E2) <= 4 * mc.stderr_E2
+    assert abs(mc.E2_mc - (s.D**2 + s.F**2)) <= 4 * mc.stderr_E2
 
 
 def test_haar_mc_matches_closed_form_toffoli():
     x = build_model_error("toffoli", 0.2)
     s = fd_from_unitary(x)
     mc = haar_mc_moments(x, 100_000, seed=7)
-    assert abs(mc.E2_mc - s.E2) <= 4 * mc.stderr_E2
+    assert abs(mc.E2_mc - (s.D**2 + s.F**2)) <= 4 * mc.stderr_E2
 
 
 def test_haar_mc_deterministic():
