@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -48,6 +49,8 @@ def _fmt(x: float) -> str:
 def _grid(lo: float, hi: float, steps: int, log: bool) -> np.ndarray:
     if steps < 2:
         raise _UsageError(f"--steps must be at least 2, got {steps}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise _UsageError(f"--min and --max must be finite, got [{lo}, {hi}]")
     if not hi > lo:
         raise _UsageError(f"--max must exceed --min, got [{lo}, {hi}]")
     if log:

@@ -39,8 +39,10 @@ class EstimationResult:
 def substream(seed: int, index: int) -> np.random.Generator:
     """Counter-based per-state stream: Philox keyed by (seed, index), so
     growing M never perturbs the draws of earlier states."""
-    if seed < 0 or index < 0:
-        raise ValueError("seed and index must be nonnegative integers")
+    if not (0 <= seed < 1 << 64 and 0 <= index < 1 << 64):
+        raise ValueError(
+            f"seed and index must be integers in [0, 2^64), got {seed}, {index}"
+        )
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -7,16 +7,21 @@ CircuitSpec acts first on the state, so the circuit unitary is G_L ... G_2 G_1.
 Qubit 1 is the most significant bit of the computational-basis index; this is
 the one module that knows about qubits and gate targets.
 
-Matrices are built gate by gate with left_apply_gate, which updates its
-argument in place through reshape views, touching only the rows a gate
-moves. The error unitary X = U_ideal^dag U_exp of a circuit is the
-implemented circuit followed by the ideal circuit's adjoint gates in reverse
-order, so no ideal d x d matrix is held and no d^3 product runs.
+Every primitive has one shape, a 2 x 2 block on its last target: a
+one-qubit gate is the block, and a two-qubit gate (CNOT, CP) is the identity
+where its first target is 0 and the block where it is 1, in ideal,
+over-rotated and adjoint form alike. Matrices are built gate by gate with
+left_apply_gate, which relies on that shape: it updates its argument in
+place through reshape views, touching only the rows the block moves. The
+error unitary X = U_ideal^dag U_exp of a circuit is the implemented circuit
+followed by the ideal circuit's adjoint gates in reverse order, so no ideal
+d x d matrix is held and no d^3 product runs.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +45,6 @@ _CNOT_GENERATOR_SQ = CNOT_GENERATOR @ CNOT_GENERATOR
 _EYE2 = np.eye(2)
 _EYE4 = np.eye(4)
 
-# rows of the 2 x 2 and 4 x 4 identities, compared with a gate's rows
-_IDENTITY_ROWS = {m: np.eye(m).tolist() for m in (2, 4)}
-
 _IDEAL = {"H": HADAMARD, "T": T_GATE, "Tdag": T_GATE.conj(), "CNOT": CNOT_GATE}
 _ARITY = {"H": 1, "T": 1, "Tdag": 1, "CNOT": 2, "CP": 2}
 
@@ -58,6 +60,8 @@ class GateSpec:
     def __post_init__(self):
         if self.kind not in _ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if not all(isinstance(t, numbers.Integral) for t in self.targets):
+            raise ValueError(f"gate targets must be integers, got {self.targets}")
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
         if len(self.targets) != _ARITY[self.kind]:
             raise ValueError(
@@ -118,61 +122,41 @@ def gate_matrix(spec: GateSpec, epsilon: float | None = None) -> np.ndarray:
     return rot @ ideal
 
 
-def _pair_views(u: np.ndarray, targets) -> list[np.ndarray]:
-    """Views of u's rows with the last target's bit as axis -2: one view for
-    a one-qubit gate, and for a two-qubit gate one per value of the first
-    target's bit. View i holds the row blocks of the gate's rows 2 i and
-    2 i + 1, at index 0 and 1 of axis -2."""
-    if len(targets) == 1:
-        return [u.reshape(1 << (targets[0] - 1), 2, -1)]
-    a, b = targets
-    if a < b:
-        view = u.reshape(1 << (a - 1), 2, 1 << (b - a - 1), 2, -1)
-        return [view[:, 0], view[:, 1]]
-    view = u.reshape(1 << (b - 1), 2, 1 << (a - b - 1), 2, -1)
-    return [view[:, :, :, 0].swapaxes(1, 2), view[:, :, :, 1].swapaxes(1, 2)]
-
-
 def left_apply_gate(u: np.ndarray, gate: np.ndarray, targets) -> np.ndarray:
     """Left-multiply u by the gate embedded on the target qubits, in place,
     and return u.
 
-    u's rows fall into one block per value of the target qubits' bits, and
-    the gate acts on these 2^k blocks as on basis states. A block whose row
-    of the gate is the identity's is not touched. When the gate's other rows
-    are diagonal, each of their blocks is multiplied by its phase in place:
-    for ideal T and T^dag that is half of the rows, for CP a quarter
-    (over-rotated T moves both halves, over-rotated CP still one quarter).
-    Otherwise the gate's 2 x 2 sub-blocks update the two blocks of the last
-    target at once, by one batched product per sub-block: for H the two
-    half-row blocks, for CNOT, ideal or over-rotated, only the two blocks
-    where the control is 1.
+    Every gate has one shape, a 2 x 2 block B = gate[-2:, -2:] on the last
+    target: a one-qubit gate is B itself, and a two-qubit gate is the
+    identity where its first target is 0 and B where it is 1 (CNOT and CP,
+    ideal, over-rotated or adjoint). So the kernel takes a view of u's rows
+    with the last target's bit as axis -2, restricted to control 1 for a
+    two-qubit gate, and updates only that view. A diagonal B multiplies in
+    place each row block whose entry is not 1: half of the rows for ideal T
+    and T^dag, a quarter for CP. Any other B replaces the view by B @ view:
+    all rows for H, the control-1 half for CNOT.
 
     Nothing is checked: u is a C-contiguous complex array with 2^n rows, n
     qubits, so that its reshapes are views and the update lands in u; the
-    gate is invertible, of shape 2^k x 2^k; the k targets are distinct and
-    lie in [1, n], as a GateSpec inside its CircuitSpec guarantees.
+    gate is invertible, of shape 2^k x 2^k, and for k = 2 has the controlled
+    shape above; the k targets are distinct and lie in [1, n], as a GateSpec
+    inside its CircuitSpec guarantees.
     """
-    g = gate.tolist()
-    identity = _IDENTITY_ROWS[len(g)]
-    moved = [i for i, row in enumerate(g) if row != identity[i]]
-    pairs = _pair_views(u, targets)
-    if not any(any(g[i][:i]) or any(g[i][i + 1 :]) for i in moved):
-        for i in moved:
-            pairs[i >> 1][..., i & 1, :] *= g[i][i]
-        return u
-    halves = sorted({i >> 1 for i in moved})
-    mixed = []
-    for i in halves:
-        top, bottom = g[2 * i], g[2 * i + 1]
-        terms = [
-            gate[2 * i : 2 * i + 2, 2 * k : 2 * k + 2] @ pair
-            for k, pair in enumerate(pairs)
-            if any(top[2 * k : 2 * k + 2] + bottom[2 * k : 2 * k + 2])
-        ]
-        mixed.append(sum(terms[1:], terms[0]))
-    for i, value in zip(halves, mixed):
-        pairs[i][...] = value
+    c, t = targets[0], targets[-1]
+    if len(targets) == 1:
+        rows = u.reshape(1 << (t - 1), 2, -1)
+    elif c < t:
+        rows = u.reshape(1 << (c - 1), 2, 1 << (t - c - 1), 2, -1)[:, 1]
+    else:
+        view = u.reshape(1 << (t - 1), 2, 1 << (c - t - 1), 2, -1)
+        rows = view[..., 1, :].swapaxes(1, 2)
+    block = gate[-2:, -2:]
+    if block[0, 1] == 0 and block[1, 0] == 0:
+        for k in (0, 1):
+            if block[k, k] != 1:
+                rows[..., k, :] *= block[k, k]
+    else:
+        rows[...] = block @ rows
     return u
 
 

@@ -184,7 +184,7 @@ def single_fidelity(x: UnitaryOperator, psi) -> float:
     if v.shape[0] != x.dim:
         raise ValueError(f"state dimension {v.shape[0]} does not match d={x.dim}")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:  # a NaN norm fails too
         raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-10")
     amp = np.vdot(v, x.matrix @ v)
     return min(float(abs(amp) ** 2), 1.0)

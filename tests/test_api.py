@@ -60,8 +60,9 @@ def test_removed_names_are_not_exported():
 def test_removed_constants_stay_removed():
     # the three-point grid search's knobs, the fixed two-point tolerance on
     # Q, the blocked trace and the trace of the square that the eigenphase
-    # moments replace, and the |det| check that the unitarity residual
-    # already implies
+    # moments replace, the |det| check that the unitarity residual already
+    # implies, and the gate kernel's general two-qubit path that the
+    # controlled-block shape of every gate replaces
     for module, name in (
         (gatecert.certify, "_PINNED_GRID"),
         (gatecert.certify, "_SUBSCAN_CHUNK"),
@@ -70,6 +71,8 @@ def test_removed_constants_stay_removed():
         (gatecert.linalg, "_trace_of_square_ld"),
         (gatecert.linalg, "_DET_TOL"),
         (gatecert.linalg, "_DET_CHECK_MAX_DIM"),
+        (gatecert.gates, "_pair_views"),
+        (gatecert.gates, "_IDENTITY_ROWS"),
     ):
         assert not hasattr(module, name), name
 

@@ -197,6 +197,36 @@ def test_estimate_usage_errors(tmp_path):
     assert main(base + ["--seed", "-4"]) == 1
 
 
+@pytest.mark.parametrize(
+    "extra", [["--seed", str(1 << 64)], ["--seed", str((1 << 64) - 1), "--repeats", "2"]]
+)
+def test_estimate_seed_beyond_64_bits_is_usage_error(extra, tmp_path, capsys):
+    # every repeat's seed keys a 64-bit Philox word: one past the range is a
+    # usage error, not an OverflowError traceback
+    out = tmp_path / "x.csv"
+    base = ["estimate", "--model", "cz", "--param", "0.3", "--samples", "4"]
+    assert main(base + ["--shots", "4", "--out", str(out)] + extra) == 1
+    assert "gatecert: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ["--min", "0.1", "--max", "inf"],
+        ["--min=-inf", "--max", "1"],
+        ["--log-grid", "--min", "0.1", "--max", "inf"],
+    ],
+)
+def test_sweep_non_finite_bounds_are_usage_errors(bounds, tmp_path, capsys):
+    # rejected before any grid is formed: no numpy warning, no row built
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--model", "cz", *bounds, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gatecert: error: --min and --max must be finite")
+    assert not out.exists()
+
+
 def test_moments_text_output(capsys):
     rc = main(["moments", "--model", "cz", "--param", "0.5"])
     assert rc == 0

@@ -84,6 +84,11 @@ def test_simulate_input_validation():
         simulate_protocol(x, M=10, N=1, seed=0)
     with pytest.raises(ValueError):
         substream(-1, 0)
+    # the Philox key holds two 64-bit words
+    for seed, index in ((1 << 64, 0), (0, 1 << 64), ((1 << 64) - 1, 1 << 64)):
+        with pytest.raises(ValueError):
+            substream(seed, index)
+    substream((1 << 64) - 1, (1 << 64) - 1)
 
 
 def test_estimator_rejects_invalid_counts():

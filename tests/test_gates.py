@@ -61,6 +61,16 @@ def test_gate_spec_validation():
         GateSpec("CZ_phase", (1, 2), 0.3)  # no such kind: CP carries the phase
 
 
+def test_gate_spec_targets_must_be_integers():
+    # a float target is not truncated onto a qubit; numpy integers are ints
+    for kind, targets in (("H", (1.7,)), ("H", (2.0,)), ("CNOT", (1.2, 2.9))):
+        with pytest.raises(ValueError):
+            GateSpec(kind, targets)
+    spec = GateSpec("CNOT", (np.int64(1), np.uint8(3)))
+    assert spec.targets == (1, 3)
+    assert all(type(t) is int for t in spec.targets)
+
+
 def test_circuit_spec_target_range():
     with pytest.raises(ValueError):
         CircuitSpec(1, (GateSpec("H", (2,)),))
@@ -343,6 +353,17 @@ def test_left_apply_gate_matches_embedding_on_haar_matrix(n):
                 out = left_apply_gate(u, gate, targets)
                 assert out is u
                 assert np.abs(u - expect).max() <= 1e-15 * (1 << n), (kind, targets, eps)
+
+
+@pytest.mark.parametrize("spec", [GateSpec("CNOT", (1, 2)), GateSpec("CP", (1, 2), 0.7)])
+def test_two_qubit_gates_are_controlled_blocks(spec):
+    # left_apply_gate's contract: a two-qubit gate is the identity where its
+    # first target is 0, so the kernel moves only the control-1 rows
+    for eps in (None, 0.3):
+        gate = gate_matrix(spec, eps)
+        for g in (gate, gate.conj().T):
+            assert np.array_equal(g[:2, :2], np.eye(2))
+            assert not g[:2, 2:].any() and not g[2:, :2].any()
 
 
 @pytest.mark.parametrize("circ", [toffoli_circuit()] + [qft_circuit(n) for n in range(2, 7)])

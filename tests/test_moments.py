@@ -178,6 +178,15 @@ def test_single_fidelity_rejects_unnormalized():
         single_fidelity(x, np.array([1.0, 1.0]))
 
 
+def test_single_fidelity_rejects_nan_state():
+    # a NaN norm compares False with every bound, so it must fail the check
+    # rather than pass it
+    x = build_cz_error(0.3)
+    for psi in ([math.nan, 0, 0, 0], [1.0, 0, 0, complex(0, math.nan)]):
+        with pytest.raises(ValueError):
+            single_fidelity(x, psi)
+
+
 def test_d2_collapse_on_random_unitaries():
     rng = np.random.default_rng(8)
     for _ in range(200):
