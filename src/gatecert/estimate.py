@@ -3,6 +3,14 @@ unbiased moment estimators.
 
 The protocol's data is one pass count per random input: for each of M
 Haar-random input states it draws K_i ~ Bin(N, f_i), all at one shot count N.
+State i is drawn from Philox keyed by (seed, i): its Haar state from the
+stream's first normals, its binomial draw right after them. The simulator
+takes the fidelities f_i of up to a chunk of states in one product, so its
+pass counts equal those of the per-state loop (substream, sample_haar_state,
+single_fidelity, binomial), while each f_i may differ from single_fidelity's
+in the last bits: on QFT error models, up to 3.2e-15 relative over 4000
+states at d = 256 and 5.3e-15 over 1000 states at d = 1024.
+
 The estimators take that count vector and N; they use the factorial-moment
 correction K(K-1)/(N(N-1)) for the second moment and a pairwise
 cross-average for F^2, both unbiased under shot noise.
@@ -11,13 +19,22 @@ cross-average for F^2, both unbiased under shot noise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .certify import CertFlags, CertificateBundle, certificate_bundle
 from .linalg import UnitaryOperator
-from .moments import single_fidelity
+from .moments import _MC_BATCH, _stacked_fidelities
+
+# not called here: bench/run.py traces the per-state reference loop under this name
+from .moments import single_fidelity  # noqa: F401
+
+# states per chunk at most: each state's generator state (a dict of about
+# 1.2 KB) is kept until its binomial draw, which at small d outweighs its
+# amplitudes
+_CHUNK_STATES = 4096
 
 
 @dataclass(frozen=True)
@@ -36,13 +53,20 @@ class EstimationResult:
     truncated: bool
 
 
+def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise ValueError unless value is a numbers.Integral in [low, high)."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value >= high):
+        bound = f"[{low}, {high})" if high is not None else f">= {low}"
+        raise ValueError(f"{name} must be an integer {bound}, got {value}")
+
+
 def substream(seed: int, index: int) -> np.random.Generator:
     """Counter-based per-state stream: Philox keyed by (seed, index), so
     growing M never perturbs the draws of earlier states."""
-    if not (0 <= seed < 1 << 64 and 0 <= index < 1 << 64):
-        raise ValueError(
-            f"seed and index must be integers in [0, 2^64), got {seed}, {index}"
-        )
+    _check_integer("seed", seed, 0, 1 << 64)
+    _check_integer("index", index, 0, 1 << 64)
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -59,19 +83,42 @@ def sample_haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
 def simulate_protocol(x: UnitaryOperator, M: int, N: int, seed: int) -> list[int]:
     """Pass counts out of N shots for M Haar-random states under the error x.
 
-    Fully deterministic for fixed (x, M, N, seed); state i uses the
-    substream keyed by (seed, i), so the first m counts do not depend on M.
+    Fully deterministic for fixed (x, M, N, seed). State i is drawn from
+    Philox keyed by (seed, i), as substream(seed, i) is, so the first m
+    counts do not depend on M. One bit generator is re-keyed per state; the
+    states of a chunk (at most moments._MC_BATCH amplitudes and
+    _CHUNK_STATES states, so memory does not grow with M) are stacked and
+    their fidelities taken in one product, then each state's generator is
+    restored to just after its normals for its binomial draw. The counts
+    equal those of the per-state loop; each f_i may differ from
+    single_fidelity's in the last bits (see the module docstring).
     """
-    if M < 2:
-        raise ValueError(f"need at least 2 random states, got M={M}")
-    if N < 2:
-        raise ValueError(f"need at least 2 shots per state, got N={N}")
+    _check_integer("M", M, 2)
+    _check_integer("N", N, 2)
+    _check_integer("seed", seed, 0, 1 << 64)
     d = x.dim
+    bit_gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bit_gen)
+    keyed = bit_gen.state  # key (seed, 0), counter 0, empty buffer
+    key = keyed["state"]["key"]
+    xt = np.ascontiguousarray(x.matrix.T)
+    chunk = max(1, min(_CHUNK_STATES, _MC_BATCH // d))
     counts = []
-    for i in range(M):
-        rng = substream(seed, i)
-        f = single_fidelity(x, sample_haar_state(d, rng))
-        counts.append(int(rng.binomial(N, f)))
+    for start in range(0, M, chunk):
+        m = min(chunk, M - start)
+        z = np.empty((m, d, 2))
+        after_normals = []
+        for j in range(m):
+            key[1] = start + j
+            bit_gen.state = keyed
+            rng.standard_normal(out=z[j])
+            after_normals.append(bit_gen.state)
+        # the (re, im) pairs of z are the complex amplitudes, as in
+        # sample_haar_state
+        f = _stacked_fidelities(z.view(np.complex128).reshape(m, d), xt)
+        for state, f_i in zip(after_normals, f.tolist()):
+            bit_gen.state = state
+            counts.append(int(rng.binomial(N, f_i)))
     return counts
 
 
@@ -82,12 +129,13 @@ def estimate_moments(counts, N: int, seed: int | None = None) -> EstimationResul
     K(K-1)/(N(N-1)); F2_hat is the pairwise cross-average, computed stably as
     ((sum f)^2 - sum f^2) / (M (M-1)).
     """
+    _check_integer("N", N, 2)
+    if seed is not None:
+        _check_integer("seed", seed, 0, 1 << 64)
     k = np.asarray(counts)
     m = len(k)
     if m < 2:
         raise ValueError(f"need at least 2 pass counts, got {m}")
-    if N < 2:
-        raise ValueError(f"need at least 2 shots per state, got N={N}")
     if k.dtype.kind not in "iu" or k.min() < 0 or k.max() > N:
         raise ValueError(f"pass counts must be integers in [0, N={N}]")
     k = k.astype(float)

@@ -193,6 +193,14 @@ def single_fidelity(x: UnitaryOperator, psi) -> float:
 _MC_BATCH = 1 << 22  # entries per chunk, keeps memory flat at large d
 
 
+def _stacked_fidelities(z: np.ndarray, xt: np.ndarray) -> np.ndarray:
+    """Survival probabilities |<psi|X|psi>|^2 of the rows of z, taken in one
+    product with xt = X^T (C-contiguous). Normalizes the rows of z in place."""
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    amp = np.einsum("ij,ij->i", z.conj(), z @ xt)
+    return np.minimum(np.abs(amp) ** 2, 1.0)
+
+
 def haar_mc_moments(x: UnitaryOperator, samples: int, seed: int) -> HaarMCResult:
     """Monte-Carlo estimate of (F, E2) from exact Haar-random pure states.
 
@@ -213,9 +221,7 @@ def haar_mc_moments(x: UnitaryOperator, samples: int, seed: int) -> HaarMCResult
     while n_done < samples:
         m = min(chunk, samples - n_done)
         z = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        amp = np.einsum("ij,ij->i", z.conj(), z @ xt)
-        f = np.minimum(np.abs(amp) ** 2, 1.0)
+        f = _stacked_fidelities(z, xt)
         s1 += float(f.sum())
         f2 = f * f
         s2 += float(f2.sum())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,36 @@ from gatecert import (
     single_fidelity,
     substream,
 )
+from gatecert.estimate import _CHUNK_STATES
+from gatecert.moments import _MC_BATCH, _stacked_fidelities
+
+
+def chunk_states(d):
+    """States in one chunk of the batched simulator at dimension d."""
+    return max(1, min(_CHUNK_STATES, _MC_BATCH // d))
+
+
+QFT8_CHUNK = chunk_states(256)
+
+
+def per_state_counts(x, indices, n_shots, seed):
+    """The reference loop: one substream per state, its Haar draw, its
+    fidelity, then its binomial draw from the same substream."""
+    counts = []
+    for i in indices:
+        rng = substream(seed, i)
+        f = single_fidelity(x, sample_haar_state(x.dim, rng))
+        counts.append(int(rng.binomial(n_shots, f)))
+    return counts
+
+
+@pytest.fixture(scope="module")
+def qft8_across_chunk():
+    """qft n = 8 pass counts at M = c - 1, c and c + 1, c states per chunk."""
+    x = build_model_error("qft", 0.03, 8)
+    c = QFT8_CHUNK
+    runs = {m: simulate_protocol(x, m, 1000, 11) for m in (c - 1, c, c + 1)}
+    return x, runs
 
 
 def test_sample_haar_state_norm():
@@ -54,41 +85,92 @@ def test_simulate_determinism():
     assert a != c
 
 
-def test_simulate_protocol_matches_per_state_draws():
+def test_simulate_protocol_matches_per_state_draws(qft8_across_chunk):
     # the counts are exactly one binomial draw per state, each from its own
     # substream right after that state's Haar draw
     seed, m_states, n_shots = 3, 64, 1000
-    for model, param, n in (("toffoli", 0.1, None), ("qft", 0.05, 3)):
+    for model, param, n in (("toffoli", 0.1, None), ("qft", 0.05, 3), ("qft", 0.03, 8)):
         x = build_model_error(model, param, n)
-        expected = []
-        for i in range(m_states):
-            rng = substream(seed, i)
-            f = single_fidelity(x, sample_haar_state(x.dim, rng))
-            expected.append(int(rng.binomial(n_shots, f)))
+        expected = per_state_counts(x, range(m_states), n_shots, seed)
         assert simulate_protocol(x, m_states, n_shots, seed) == expected
+    # past one chunk: the first and last state of each of its two chunks
+    x, runs = qft8_across_chunk
+    c = QFT8_CHUNK
+    counts = runs[c + 1]
+    picked = (0, c - 1, c, len(counts) - 1)
+    assert [counts[i] for i in picked] == per_state_counts(x, picked, 1000, 11)
 
 
-def test_substream_extension_stability():
+def test_protocol_fidelities_match_single_fidelity():
+    # the stacked product sums in another order than single_fidelity's
+    # matrix-vector product: agreement to a tolerance set from float64
+    x = build_model_error("qft", 0.03, 8)
+    states = [sample_haar_state(x.dim, substream(5, i)) for i in range(32)]
+    f = _stacked_fidelities(np.array(states), np.ascontiguousarray(x.matrix.T))
+    ref = [single_fidelity(x, psi) for psi in states]
+    np.testing.assert_allclose(f, ref, rtol=1e-13, atol=0.0)
+
+
+def test_substream_extension_stability(qft8_across_chunk):
     # growing M must not perturb earlier states' draws
     x = build_cz_error(0.3)
     short = simulate_protocol(x, M=5, N=50, seed=7)
     long = simulate_protocol(x, M=10, N=50, seed=7)
     assert long[:5] == short
+    # nor across a chunk boundary
+    _, runs = qft8_across_chunk
+    c = QFT8_CHUNK
+    assert runs[c][: c - 1] == runs[c - 1]
+    assert runs[c + 1][:c] == runs[c]
+
+
+@pytest.mark.parametrize("model,n", [("qft", 10), ("cz", None)])
+def test_simulate_protocol_memory_is_flat_in_M(model, n):
+    # four chunks peak as high as two: at d = 1024 a chunk is bounded by its
+    # amplitudes, at d = 4 by its saved generator states
+    x = build_model_error(model, 0.03, n)
+    c = chunk_states(x.dim)
+    peaks = []
+    for m_states in (2 * c, 4 * c):
+        tracemalloc.start()
+        try:
+            simulate_protocol(x, m_states, 100, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
 
 
 def test_simulate_input_validation():
     x = build_cz_error(0.1)
-    with pytest.raises(ValueError):
-        simulate_protocol(x, M=1, N=10, seed=0)
-    with pytest.raises(ValueError):
-        simulate_protocol(x, M=10, N=1, seed=0)
+    bad = (
+        dict(M=1, N=10, seed=0),
+        dict(M=10, N=1, seed=0),
+        # M, N and seed must be integers, as GateSpec's targets must
+        dict(M=10, N=100, seed=1.5),  # would run as seed 1
+        dict(M=10, N=100.7, seed=1),  # would draw 100 shots and divide by 100.7
+        dict(M=10.0, N=100, seed=1),
+        # range checks come before the uint64 key is built
+        dict(M=10, N=100, seed=-1),
+        dict(M=10, N=100, seed=np.int64(-1)),
+        dict(M=10, N=100, seed=1 << 64),
+    )
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            simulate_protocol(x, **kwargs)
+    # numpy integers are integers
+    top = (1 << 64) - 1
+    ints = dict(M=np.int64(10), N=np.int32(100), seed=np.uint64(top))
+    assert simulate_protocol(x, **ints) == simulate_protocol(x, 10, 100, top)
     with pytest.raises(ValueError):
         substream(-1, 0)
+    with pytest.raises(ValueError):
+        substream(1.5, 0)
     # the Philox key holds two 64-bit words
-    for seed, index in ((1 << 64, 0), (0, 1 << 64), ((1 << 64) - 1, 1 << 64)):
+    for seed, index in ((1 << 64, 0), (0, 1 << 64), (top, 1 << 64)):
         with pytest.raises(ValueError):
             substream(seed, index)
-    substream((1 << 64) - 1, (1 << 64) - 1)
+    substream(top, top)
 
 
 def test_estimator_rejects_invalid_counts():
@@ -124,6 +206,10 @@ def test_estimators_hand_computed_pair():
 def test_estimator_input_validation():
     with pytest.raises(ValueError):
         estimate_moments([1], 4)
+    for N, seed in ((3.5, None), (4.0, None), (4, 2.5), (4, -1)):
+        with pytest.raises(ValueError):
+            estimate_moments([1, 2, 3], N, seed=seed)
+    assert estimate_moments([1, 2, 3], np.int64(4), seed=np.int64(2)).N == 4
 
 
 def test_factorial_moment_identity():
