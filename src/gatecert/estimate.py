@@ -3,11 +3,12 @@ unbiased moment estimators.
 
 The protocol's data is one pass count per random input: for each of M
 Haar-random input states it draws K_i ~ Bin(N, f_i), all at one shot count N.
-State i is drawn from Philox keyed by (seed, i): its Haar state from the
-stream's first normals, its binomial draw right after them. The simulator
-takes the fidelities f_i of up to a chunk of states in one product, so its
-pass counts equal those of the per-state loop (substream, sample_haar_state,
-single_fidelity, binomial), while each f_i may differ from single_fidelity's
+The simulator reads two Philox streams in order: state i's Haar state from
+normals [2d i, 2d (i+1)) of substream(seed, 0), its pass count from the i-th
+binomial draw of substream(seed, 1). It takes the fidelities f_i of up to a
+chunk of states in one product, so its pass counts equal those of the
+sequential loop (sample_haar_state from the first stream, single_fidelity,
+binomial from the second), while each f_i may differ from single_fidelity's
 in the last bits: on QFT error models, up to 3.2e-15 relative over 4000
 states at d = 256 and 5.3e-15 over 1000 states at d = 1024.
 
@@ -28,12 +29,11 @@ from .certify import CertFlags, CertificateBundle, certificate_bundle
 from .linalg import UnitaryOperator
 from .moments import _MC_BATCH, _stacked_fidelities
 
-# not called here: bench/run.py traces the per-state reference loop under this name
+# not called here: bench/run.py traces the sequential reference loop under this name
 from .moments import single_fidelity  # noqa: F401
 
-# states per chunk at most: each state's generator state (a dict of about
-# 1.2 KB) is kept until its binomial draw, which at small d outweighs its
-# amplitudes
+# states per chunk at most: _MC_BATCH // d alone is a million states at d = 4,
+# so the chunk and its product's temporaries would grow with M up to that size
 _CHUNK_STATES = 4096
 
 
@@ -63,7 +63,8 @@ def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Counter-based per-state stream: Philox keyed by (seed, index), so
+    """Counter-based stream: Philox keyed by (seed, index). The protocol
+    draws its Haar states from index 0 and its pass counts from index 1, so
     growing M never perturbs the draws of earlier states."""
     _check_integer("seed", seed, 0, 1 << 64)
     _check_integer("index", index, 0, 1 << 64)
@@ -83,42 +84,28 @@ def sample_haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
 def simulate_protocol(x: UnitaryOperator, M: int, N: int, seed: int) -> list[int]:
     """Pass counts out of N shots for M Haar-random states under the error x.
 
-    Fully deterministic for fixed (x, M, N, seed). State i is drawn from
-    Philox keyed by (seed, i), as substream(seed, i) is, so the first m
-    counts do not depend on M. One bit generator is re-keyed per state; the
-    states of a chunk (at most moments._MC_BATCH amplitudes and
-    _CHUNK_STATES states, so memory does not grow with M) are stacked and
-    their fidelities taken in one product, then each state's generator is
-    restored to just after its normals for its binomial draw. The counts
-    equal those of the per-state loop; each f_i may differ from
+    Fully deterministic for fixed (x, M, N, seed). State i takes normals
+    [2d i, 2d (i+1)) of substream(seed, 0) as its amplitudes and the i-th
+    draw of substream(seed, 1) as its pass count, so the first m counts do
+    not depend on M. A chunk of states (at most moments._MC_BATCH amplitudes
+    and _CHUNK_STATES states, so memory does not grow with M) costs one
+    normal draw, one fidelity product and one vectorised binomial draw; the
+    chunking depends on d but the counts do not. The counts equal those of
+    the sequential two-stream loop; each f_i may differ from
     single_fidelity's in the last bits (see the module docstring).
     """
     _check_integer("M", M, 2)
     _check_integer("N", N, 2)
-    _check_integer("seed", seed, 0, 1 << 64)
+    amplitudes, shots = substream(seed, 0), substream(seed, 1)
     d = x.dim
-    bit_gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(bit_gen)
-    keyed = bit_gen.state  # key (seed, 0), counter 0, empty buffer
-    key = keyed["state"]["key"]
     xt = np.ascontiguousarray(x.matrix.T)
     chunk = max(1, min(_CHUNK_STATES, _MC_BATCH // d))
     counts = []
     for start in range(0, M, chunk):
         m = min(chunk, M - start)
-        z = np.empty((m, d, 2))
-        after_normals = []
-        for j in range(m):
-            key[1] = start + j
-            bit_gen.state = keyed
-            rng.standard_normal(out=z[j])
-            after_normals.append(bit_gen.state)
-        # the (re, im) pairs of z are the complex amplitudes, as in
-        # sample_haar_state
-        f = _stacked_fidelities(z.view(np.complex128).reshape(m, d), xt)
-        for state, f_i in zip(after_normals, f.tolist()):
-            bit_gen.state = state
-            counts.append(int(rng.binomial(N, f_i)))
+        # the (re, im) pairs are the complex amplitudes, as in sample_haar_state
+        z = amplitudes.standard_normal((m, d, 2)).view(np.complex128).reshape(m, d)
+        counts += shots.binomial(N, _stacked_fidelities(z, xt)).tolist()
     return counts
 
 

@@ -30,14 +30,14 @@ def chunk_states(d):
 QFT8_CHUNK = chunk_states(256)
 
 
-def per_state_counts(x, indices, n_shots, seed):
-    """The reference loop: one substream per state, its Haar draw, its
-    fidelity, then its binomial draw from the same substream."""
+def sequential_counts(x, n_states, n_shots, seed):
+    """The reference loop: state by state, a Haar draw from the amplitude
+    stream, its fidelity, then one binomial draw from the shot stream."""
+    amplitudes, shots = substream(seed, 0), substream(seed, 1)
     counts = []
-    for i in indices:
-        rng = substream(seed, i)
-        f = single_fidelity(x, sample_haar_state(x.dim, rng))
-        counts.append(int(rng.binomial(n_shots, f)))
+    for _ in range(n_states):
+        f = single_fidelity(x, sample_haar_state(x.dim, amplitudes))
+        counts.append(int(shots.binomial(n_shots, f)))
     return counts
 
 
@@ -86,19 +86,17 @@ def test_simulate_determinism():
 
 
 def test_simulate_protocol_matches_per_state_draws(qft8_across_chunk):
-    # the counts are exactly one binomial draw per state, each from its own
-    # substream right after that state's Haar draw
+    # the counts are exactly the sequential loop's: state i's normals are
+    # [2d i, 2d (i+1)) of substream(seed, 0), its count the i-th binomial
+    # draw of substream(seed, 1)
     seed, m_states, n_shots = 3, 64, 1000
     for model, param, n in (("toffoli", 0.1, None), ("qft", 0.05, 3), ("qft", 0.03, 8)):
         x = build_model_error(model, param, n)
-        expected = per_state_counts(x, range(m_states), n_shots, seed)
+        expected = sequential_counts(x, m_states, n_shots, seed)
         assert simulate_protocol(x, m_states, n_shots, seed) == expected
-    # past one chunk: the first and last state of each of its two chunks
+    # past one chunk: every state of both chunks
     x, runs = qft8_across_chunk
-    c = QFT8_CHUNK
-    counts = runs[c + 1]
-    picked = (0, c - 1, c, len(counts) - 1)
-    assert [counts[i] for i in picked] == per_state_counts(x, picked, 1000, 11)
+    assert runs[QFT8_CHUNK + 1] == sequential_counts(x, QFT8_CHUNK + 1, 1000, 11)
 
 
 def test_protocol_fidelities_match_single_fidelity():
@@ -127,7 +125,7 @@ def test_substream_extension_stability(qft8_across_chunk):
 @pytest.mark.parametrize("model,n", [("qft", 10), ("cz", None)])
 def test_simulate_protocol_memory_is_flat_in_M(model, n):
     # four chunks peak as high as two: at d = 1024 a chunk is bounded by its
-    # amplitudes, at d = 4 by its saved generator states
+    # amplitudes, at d = 4 by _CHUNK_STATES
     x = build_model_error(model, 0.03, n)
     c = chunk_states(x.dim)
     peaks = []
