@@ -13,8 +13,10 @@ from .certify import (
 )
 from .estimate import (
     EstimationResult,
+    HaarMCResult,
     certify_from_estimates,
     estimate_moments,
+    haar_mc_moments,
     run_protocol,
     sample_haar_state,
     simulate_protocol,
@@ -39,11 +41,9 @@ from .linalg import (
     haar_random_unitary,
 )
 from .moments import (
-    HaarMCResult,
     MomentSummary,
     PQInvariants,
     fd_from_unitary,
-    haar_mc_moments,
     pq_from_fd,
     single_fidelity,
 )

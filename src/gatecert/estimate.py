@@ -1,5 +1,5 @@
-"""Simulation of the randomized survival-probability protocol and the
-unbiased moment estimators.
+"""Simulation of the randomized survival-probability protocol, its Haar
+Monte Carlo oracle, and the unbiased moment estimators.
 
 The protocol's data is one pass count per random input: for each of M
 Haar-random input states it draws K_i ~ Bin(N, f_i), all at one shot count N.
@@ -9,8 +9,11 @@ binomial draw of substream(seed, 1). It takes the fidelities f_i of up to a
 chunk of states in one product, so its pass counts equal those of the
 sequential loop (sample_haar_state from the first stream, single_fidelity,
 binomial from the second), while each f_i may differ from single_fidelity's
-in the last bits: on QFT error models, up to 3.2e-15 relative over 4000
-states at d = 256 and 5.3e-15 over 1000 states at d = 1024.
+in the last bits: on QFT error models, up to 4.4e-15 relative over 4000
+states at d = 256 and 6.1e-15 over 1000 states at d = 1024.
+
+haar_mc_moments, the oracle for the closed-form moments, reads the same
+amplitude stream: its samples are the exact fidelities of those states.
 
 The estimators take that count vector and N; they use the factorial-moment
 correction K(K-1)/(N(N-1)) for the second moment and a pairwise
@@ -22,16 +25,17 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .certify import CertFlags, CertificateBundle, certificate_bundle
 from .linalg import UnitaryOperator
-from .moments import _MC_BATCH, _stacked_fidelities
 
 # not called here: bench/run.py traces the sequential reference loop under this name
 from .moments import single_fidelity  # noqa: F401
 
+_MC_BATCH = 1 << 22  # amplitudes per chunk at most, keeps memory flat at large d
 # states per chunk at most: _MC_BATCH // d alone is a million states at d = 4,
 # so the chunk and its product's temporaries would grow with M up to that size
 _CHUNK_STATES = 4096
@@ -51,6 +55,13 @@ class EstimationResult:
     D2_hat: float
     D_hat: float
     truncated: bool
+
+
+class HaarMCResult(NamedTuple):
+    F_mc: float
+    E2_mc: float
+    stderr_F: float
+    stderr_E2: float
 
 
 def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
@@ -81,32 +92,79 @@ def sample_haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def simulate_protocol(x: UnitaryOperator, M: int, N: int, seed: int) -> list[int]:
-    """Pass counts out of N shots for M Haar-random states under the error x.
+def _stacked_fidelities(z: np.ndarray, xt: np.ndarray) -> np.ndarray:
+    """Survival probabilities |z^dag X z|^2 / |z|^4 of the rows of z, taken as
+    unnormalized states, from one product w = z X^T (xt = X^T, C-contiguous)
+    and sums over float views of z and w."""
+    w = z @ xt
+    zf, wf = z.view(np.float64), w.view(np.float64)  # (re, im) interleaved
+    re = np.einsum("ij,ij->i", zf, wf)
+    im = np.einsum("ij,ij->i", zf[:, ::2], wf[:, 1::2])
+    im -= np.einsum("ij,ij->i", zf[:, 1::2], wf[:, ::2])
+    norm2 = np.einsum("ij,ij->i", zf, zf)
+    return np.minimum((re * re + im * im) / (norm2 * norm2), 1.0)
 
-    Fully deterministic for fixed (x, M, N, seed). State i takes normals
-    [2d i, 2d (i+1)) of substream(seed, 0) as its amplitudes and the i-th
-    draw of substream(seed, 1) as its pass count, so the first m counts do
-    not depend on M. A chunk of states (at most moments._MC_BATCH amplitudes
-    and _CHUNK_STATES states, so memory does not grow with M) costs one
-    normal draw, one fidelity product and one vectorised binomial draw; the
-    chunking depends on d but the counts do not. The counts equal those of
-    the sequential two-stream loop; each f_i may differ from
-    single_fidelity's in the last bits (see the module docstring).
-    """
-    _check_integer("M", M, 2)
-    _check_integer("N", N, 2)
-    amplitudes, shots = substream(seed, 0), substream(seed, 1)
+
+def _haar_fidelities(x: UnitaryOperator, M: int, seed: int) -> Iterator[np.ndarray]:
+    """Fidelities under x of M Haar states, one chunk at a time: state i takes
+    normals [2d i, 2d (i+1)) of substream(seed, 0) as its amplitudes. A chunk
+    holds at most _MC_BATCH amplitudes and _CHUNK_STATES states, so memory
+    does not grow with M; the chunking depends on d, the states do not."""
+    amplitudes = substream(seed, 0)
     d = x.dim
     xt = np.ascontiguousarray(x.matrix.T)
     chunk = max(1, min(_CHUNK_STATES, _MC_BATCH // d))
-    counts = []
     for start in range(0, M, chunk):
         m = min(chunk, M - start)
         # the (re, im) pairs are the complex amplitudes, as in sample_haar_state
         z = amplitudes.standard_normal((m, d, 2)).view(np.complex128).reshape(m, d)
-        counts += shots.binomial(N, _stacked_fidelities(z, xt)).tolist()
+        yield _stacked_fidelities(z, xt)
+
+
+def simulate_protocol(x: UnitaryOperator, M: int, N: int, seed: int) -> list[int]:
+    """Pass counts out of N shots for M Haar-random states under the error x.
+
+    Fully deterministic for fixed (x, M, N, seed). State i takes its
+    amplitudes from _haar_fidelities and the i-th draw of substream(seed, 1)
+    as its pass count, so the first m counts do not depend on M; a chunk
+    costs one normal draw, one fidelity product and one vectorised binomial
+    draw. The counts equal those of the sequential two-stream loop (see the
+    module docstring).
+    """
+    _check_integer("M", M, 2)
+    _check_integer("N", N, 2)
+    shots = substream(seed, 1)
+    counts = []
+    for f in _haar_fidelities(x, M, seed):
+        counts += shots.binomial(N, f).tolist()
     return counts
+
+
+def haar_mc_moments(x: UnitaryOperator, samples: int, seed: int) -> HaarMCResult:
+    """Monte-Carlo estimate of (F, E2) from exact Haar-random pure states.
+
+    The samples are the exact fidelities of the states that
+    simulate_protocol(x, samples, N, seed) draws, with no shot noise; the
+    estimate is an oracle for the closed forms.
+    """
+    _check_integer("samples", samples, 100)
+    s1 = s2 = s4 = 0.0
+    for f in _haar_fidelities(x, samples, seed):
+        s1 += float(f.sum())
+        f2 = f * f
+        s2 += float(f2.sum())
+        s4 += float((f2 * f2).sum())
+    n = float(samples)
+    F_mc = s1 / n
+    E2_mc = s2 / n
+    var_f = max(s2 / n - F_mc**2, 0.0) * n / (n - 1)
+    var_f2 = max(s4 / n - E2_mc**2, 0.0) * n / (n - 1)
+    return HaarMCResult(
+        F_mc=F_mc,
+        E2_mc=E2_mc,
+        stderr_F=math.sqrt(var_f / n),
+        stderr_E2=math.sqrt(var_f2 / n),
+    )
 
 
 def estimate_moments(counts, N: int, seed: int | None = None) -> EstimationResult:
@@ -120,6 +178,8 @@ def estimate_moments(counts, N: int, seed: int | None = None) -> EstimationResul
     if seed is not None:
         _check_integer("seed", seed, 0, 1 << 64)
     k = np.asarray(counts)
+    if k.ndim != 1:
+        raise ValueError(f"pass counts must be a 1-D sequence, got shape {k.shape}")
     m = len(k)
     if m < 2:
         raise ValueError(f"need at least 2 pass counts, got {m}")

@@ -8,9 +8,6 @@ E2 = D^2 + F^2 are fixed by two spectral invariants,
 via F = (d + P^2) / (d (d+1)) and
     E2 = (2d(d+3) + 4(d+2) P^2 + Q^2) / (d (d+1) (d+2) (d+3)).
 
-A seeded Haar Monte Carlo estimator provides a fully independent
-cross-check of the closed forms.
-
 D^2 = E2 - F^2 cancels to fourth order in the error angle near the identity,
 and so does r = 1 - F to second order, so neither is taken from the traces.
 Both come from the eigenphases theta_j: with s_jk = 2 sin^2((theta_j -
@@ -64,13 +61,6 @@ class MomentSummary:
 class PQInvariants(NamedTuple):
     P2: float
     Q2: float
-
-
-class HaarMCResult(NamedTuple):
-    F_mc: float
-    E2_mc: float
-    stderr_F: float
-    stderr_E2: float
 
 
 def _spectral_moments(lam: np.ndarray):
@@ -188,53 +178,3 @@ def single_fidelity(x: UnitaryOperator, psi) -> float:
         raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-10")
     amp = np.vdot(v, x.matrix @ v)
     return min(float(abs(amp) ** 2), 1.0)
-
-
-_MC_BATCH = 1 << 22  # entries per chunk, keeps memory flat at large d
-
-
-def _stacked_fidelities(z: np.ndarray, xt: np.ndarray) -> np.ndarray:
-    """Survival probabilities |<psi|X|psi>|^2 of the rows of z, taken in one
-    product with xt = X^T (C-contiguous). Normalizes the rows of z in place."""
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    amp = np.einsum("ij,ij->i", z.conj(), z @ xt)
-    return np.minimum(np.abs(amp) ** 2, 1.0)
-
-
-def haar_mc_moments(x: UnitaryOperator, samples: int, seed: int) -> HaarMCResult:
-    """Monte-Carlo estimate of (F, E2) from exact Haar-random pure states.
-
-    States are normalized vectors of independent standard complex Gaussians;
-    the estimate is an independent oracle for the closed forms. Deterministic
-    for fixed (x, samples, seed).
-    """
-    if samples < 100:
-        raise ValueError(f"samples must be at least 100, got {samples}")
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    d = x.dim
-    rng = np.random.Generator(np.random.Philox(seed))
-    chunk = max(1, _MC_BATCH // d)
-    n_done = 0
-    s1 = s2 = s4 = 0.0
-    xt = np.ascontiguousarray(x.matrix.T)
-    while n_done < samples:
-        m = min(chunk, samples - n_done)
-        z = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
-        f = _stacked_fidelities(z, xt)
-        s1 += float(f.sum())
-        f2 = f * f
-        s2 += float(f2.sum())
-        s4 += float((f2 * f2).sum())
-        n_done += m
-    n = float(samples)
-    F_mc = s1 / n
-    E2_mc = s2 / n
-    var_f = max(s2 / n - F_mc**2, 0.0) * n / (n - 1)
-    var_f2 = max(s4 / n - E2_mc**2, 0.0) * n / (n - 1)
-    return HaarMCResult(
-        F_mc=F_mc,
-        E2_mc=E2_mc,
-        stderr_F=math.sqrt(var_f / n),
-        stderr_E2=math.sqrt(var_f2 / n),
-    )

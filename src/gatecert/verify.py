@@ -96,7 +96,7 @@ def check_haar_mc_agreement(full: bool):
         for i in range(count):
             x = UnitaryOperator(haar_random_unitary(d, rng))
             s = moments.fd_from_unitary(x)
-            mc = moments.haar_mc_moments(x, samples, seed=100 * d + i)
+            mc = estimate.haar_mc_moments(x, samples, seed=100 * d + i)
             for got, want, err in (
                 (mc.F_mc, s.F, mc.stderr_F),
                 (mc.E2_mc, s.D**2 + s.F**2, mc.stderr_E2),

@@ -10,6 +10,7 @@ import gatecert.cli
 import gatecert.estimate
 import gatecert.gates
 import gatecert.linalg
+import gatecert.moments
 
 BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
@@ -61,8 +62,9 @@ def test_removed_constants_stay_removed():
     # the three-point grid search's knobs, the fixed two-point tolerance on
     # Q, the blocked trace and the trace of the square that the eigenphase
     # moments replace, the |det| check that the unitarity residual already
-    # implies, and the gate kernel's general two-qubit path that the
-    # controlled-block shape of every gate replaces
+    # implies, the gate kernel's general two-qubit path that the
+    # controlled-block shape of every gate replaces, and the second Haar
+    # sampler that the protocol's amplitude stream replaces
     for module, name in (
         (gatecert.certify, "_PINNED_GRID"),
         (gatecert.certify, "_SUBSCAN_CHUNK"),
@@ -73,6 +75,9 @@ def test_removed_constants_stay_removed():
         (gatecert.linalg, "_DET_CHECK_MAX_DIM"),
         (gatecert.gates, "_pair_views"),
         (gatecert.gates, "_IDENTITY_ROWS"),
+        (gatecert.moments, "_MC_BATCH"),
+        (gatecert.moments, "_stacked_fidelities"),
+        (gatecert.moments, "haar_mc_moments"),
     ):
         assert not hasattr(module, name), name
 

@@ -12,14 +12,14 @@ from gatecert import (
     certify_from_estimates,
     estimate_moments,
     fd_from_unitary,
+    haar_mc_moments,
     run_protocol,
     sample_haar_state,
     simulate_protocol,
     single_fidelity,
     substream,
 )
-from gatecert.estimate import _CHUNK_STATES
-from gatecert.moments import _MC_BATCH, _stacked_fidelities
+from gatecert.estimate import _CHUNK_STATES, _MC_BATCH, _stacked_fidelities
 
 
 def chunk_states(d):
@@ -99,6 +99,17 @@ def test_simulate_protocol_matches_per_state_draws(qft8_across_chunk):
     assert runs[QFT8_CHUNK + 1] == sequential_counts(x, QFT8_CHUNK + 1, 1000, 11)
 
 
+def test_haar_mc_reads_the_protocol_states():
+    # the oracle's samples are the fidelities of the protocol's amplitude
+    # stream, past one chunk too: the mean of the sequential loop's
+    x = build_model_error("qft", 0.03, 8)
+    seed, m_states = 13, QFT8_CHUNK + 1
+    amplitudes = substream(seed, 0)
+    f = [single_fidelity(x, sample_haar_state(x.dim, amplitudes)) for _ in range(m_states)]
+    mc = haar_mc_moments(x, m_states, seed)
+    assert mc.F_mc == pytest.approx(math.fsum(f) / m_states, rel=1e-13, abs=0.0)
+
+
 def test_protocol_fidelities_match_single_fidelity():
     # the stacked product sums in another order than single_fidelity's
     # matrix-vector product: agreement to a tolerance set from float64
@@ -122,21 +133,25 @@ def test_substream_extension_stability(qft8_across_chunk):
     assert runs[c + 1][:c] == runs[c]
 
 
-@pytest.mark.parametrize("model,n", [("qft", 10), ("cz", None)])
+@pytest.mark.parametrize("model,n", [("qft", 10), ("qft", 8), ("cz", None)])
 def test_simulate_protocol_memory_is_flat_in_M(model, n):
     # four chunks peak as high as two: at d = 1024 a chunk is bounded by its
     # amplitudes, at d = 4 by _CHUNK_STATES
     x = build_model_error(model, 0.03, n)
     c = chunk_states(x.dim)
-    peaks = []
-    for m_states in (2 * c, 4 * c):
+    peaks = {}
+    for m_states in (c, 2 * c, 4 * c):
         tracemalloc.start()
         try:
             simulate_protocol(x, m_states, 100, 0)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peaks[m_states] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
+    assert abs(peaks[4 * c] - peaks[2 * c]) < 0.1 * peaks[2 * c]
+    if x.dim >= 256:
+        # one chunk holds its amplitudes, the product z X^T and X^T itself,
+        # no normalized or conjugated copy of the amplitudes
+        assert peaks[c] < 2.5 * c * x.dim * 16
 
 
 def test_simulate_input_validation():
@@ -179,6 +194,10 @@ def test_estimator_rejects_invalid_counts():
     for counts in ([1.5, 2], [5, 2], [-1, 2], np.array([1.0, 2.0])):
         with pytest.raises(ValueError):
             estimate_moments(counts, 4)
+    # one count per state: a 2-D array would be read as its rows
+    for counts in (np.array([[10, 20], [30, 40]]), np.array([[1, 2, 3]]), np.int64(3)):
+        with pytest.raises(ValueError):
+            estimate_moments(counts, 50)
 
 
 def test_estimators_all_pass():

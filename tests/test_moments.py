@@ -276,7 +276,9 @@ def test_haar_mc_deterministic():
 
 def test_haar_mc_input_validation():
     x = UnitaryOperator(np.eye(2))
-    with pytest.raises(ValueError):
-        haar_mc_moments(x, 50, seed=0)
-    with pytest.raises(ValueError):
-        haar_mc_moments(x, 1000, seed=-1)
+    # samples and seed are integers, the seed one Philox key word, as in
+    # simulate_protocol
+    bad = ((50, 0), (1000, -1), (1000, 1.5), (1000.0, 1), (1000, 1 << 64), (1000, 1 << 130))
+    for samples, seed in bad:
+        with pytest.raises(ValueError):
+            haar_mc_moments(x, samples, seed=seed)
