@@ -8,7 +8,6 @@ from .certify import (
     bound_ru,
     certificate_bundle,
     diamond_exact,
-    min_overlap_exact,
     tightness_witness,
 )
 from .estimate import (
@@ -18,7 +17,6 @@ from .estimate import (
     estimate_moments,
     haar_mc_moments,
     run_protocol,
-    sample_haar_state,
     simulate_protocol,
     substream,
 )
@@ -45,7 +43,6 @@ from .moments import (
     PQInvariants,
     fd_from_unitary,
     pq_from_fd,
-    single_fidelity,
 )
 
 __version__ = "0.1.0"
@@ -77,13 +74,10 @@ __all__ = [
     "gate_matrix",
     "haar_mc_moments",
     "haar_random_unitary",
-    "min_overlap_exact",
     "pq_from_fd",
     "qft_circuit",
     "run_protocol",
-    "sample_haar_state",
     "simulate_protocol",
-    "single_fidelity",
     "substream",
     "tightness_witness",
     "toffoli_circuit",

@@ -1,8 +1,8 @@
 """Worst-case certificates for coherent gate errors.
 
-Exact diamond distance and minimum overlap of a unitary error from the
-largest gap between its eigenphases, the fidelity-only conversion bound, the
-(r, u) unitarity-assisted bound, the (F, D) moment-assisted bound through the
+Exact diamond distance of a unitary error from the largest gap between its
+eigenphases, the fidelity-only conversion bound, the (r, u)
+unitarity-assisted bound, the (F, D) moment-assisted bound through the
 certified overlap c(F, D), and the hybrid minimum of the two, all from
 certificate_bundle, the one entry from (F, D) to a certificate.
 
@@ -43,6 +43,13 @@ batched companion eigensolve and a Newton polish in extended precision).
 Beyond the search cap of d = 64 it falls back to the always-valid
 relaxation root.
 
+_certified_deficit_ld decides the branch once and returns the record
+(1 - c, flags, bulk), where bulk is the cosine a of the conjugate-pair
+spectrum when c is that spectrum's overlap, and None on every other branch.
+tightness_witness builds its diagonal unitary from that record, so a witness
+exists exactly where the certificate is the attained relaxation (for even
+d), and its diamond distance is b_fd.
+
 Unlike the plain relaxation, the exact boundary-corrected certificate is not
 globally monotone in D at fixed r: crossing the attainability seam can raise
 it slightly (verified against direct constrained optimization).
@@ -59,7 +66,7 @@ import numpy as np
 # not called here: bench/run.py traces the hull routines under these names
 from .geometry import convex_hull, distance_origin_to_hull  # noqa: F401
 from .linalg import UnitaryOperator, eigenvalues_unitary
-from .moments import _check_fd, _moment_deviations, fd_from_unitary
+from .moments import _check_fd, _check_integer, _moment_deviations, fd_from_unitary
 
 _LD = np.longdouble
 _CLD = np.clongdouble
@@ -112,9 +119,15 @@ class CertificateBundle:
     flags: CertFlags
 
 
-def _eigenphase_arc(x: UnitaryOperator) -> float:
-    """Length 2 pi - G of the shortest arc holding the spectrum of x, where G
-    is the largest gap between its sorted eigenphases on the circle."""
+def diamond_exact(x: UnitaryOperator) -> float:
+    """Exact diamond distance of a unitary error from its eigenphases.
+
+    With G the largest gap between the sorted phases on the circle, the
+    spectrum covers an arc of 2 pi - G, and the distance is sin((2 pi - G)/2),
+    or 1 when G <= pi (the origin then lies in the spectrum's convex hull).
+    This equals sqrt(1 - m^2) for the minimum overlap m = max(0, -cos(G/2)),
+    without its cancellation.
+    """
     th = np.sort(np.angle(eigenvalues_unitary(x)))
     # the arc is th[-1] - th[0] when the largest gap wraps through pi, so no
     # rounding of 2 pi enters the small arcs of a near-identity error
@@ -123,26 +136,6 @@ def _eigenphase_arc(x: UnitaryOperator) -> float:
         gap = float(np.diff(th).max())
         if gap > 2 * math.pi - arc:
             arc = 2 * math.pi - gap
-    return arc
-
-
-def min_overlap_exact(x: UnitaryOperator) -> float:
-    """Distance from the origin to the convex hull of the spectrum,
-    m = max(0, -cos(G/2)) with G the largest eigenphase gap, evaluated as
-    max(0, cos((2 pi - G)/2))."""
-    return max(0.0, math.cos(_eigenphase_arc(x) / 2))
-
-
-def diamond_exact(x: UnitaryOperator) -> float:
-    """Exact diamond distance of a unitary error from its eigenphases.
-
-    With G the largest gap between the sorted phases on the circle, the
-    spectrum covers an arc of 2 pi - G, and the distance is sin((2 pi - G)/2),
-    or 1 when G <= pi (the origin then lies in the spectrum's convex hull).
-    This equals sqrt(1 - m^2) with m = min_overlap_exact(x), without its
-    cancellation.
-    """
-    arc = _eigenphase_arc(x)
     return math.sin(arc / 2) if arc < math.pi else 1.0
 
 
@@ -155,6 +148,8 @@ def bound_fidelity_only(r: float, d: int) -> float:
 
 def bound_ru(r: float, u: float, d: int) -> float:
     """Unitarity-assisted bound: d^2 c_d sqrt(u + 2dr/(d-1) - 1), unclamped."""
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
     if not -1e-12 <= r <= 1.0 + 1e-12:
         raise ValueError(f"infidelity r must lie in [0, 1], got {r}")
     if not (math.isfinite(u) and 0.0 <= u <= 1.0 + 1e-12):
@@ -355,54 +350,52 @@ def _bound_from_deficit(e) -> float:
 
 
 def _certified_deficit_ld(r, D, d: int, family_rtol: float = _FAMILY_RTOL):
-    """1 - c at infidelity r and deviation D in extended precision, plus
-    warning flags."""
+    """The certificate at infidelity r and deviation D: (1 - c in extended
+    precision, warning flags, bulk). bulk is the bulk cosine of the
+    relaxation's conjugate-pair spectrum when c is that spectrum's overlap
+    (the relaxation branch, no clamp flag set), and None on every other
+    branch, where no such spectrum attains c."""
+    _check_integer("dimension d", d, 0)
     if d < 4:
         raise ValueError(
             "the (F, D) certificate requires d >= 4; at d = 2, D = (1 - F)/sqrt(5) is fixed by F"
         )
     dP, P, Q, _, deficit, bulk_excess, flags = _relaxation_root(r, D, d)
     if deficit >= 1:
-        return _LD_ONE, flags
+        return _LD_ONE, flags, None
     if bulk_excess <= _BULK_RTOL * dP:
-        return deficit, flags
+        return deficit, flags, None if flags else 1 + bulk_excess
     # the relaxation's equality spectrum would need a bulk cosine above 1;
     # there the extremum concentrates on at most three support angles
     sin2 = _two_point_sin2(dP, D, d, family_rtol)
     if sin2 is not None:
-        return sin2 / (1 + np.sqrt(1 - sin2)), flags
+        return sin2 / (1 + np.sqrt(1 - sin2)), flags, None
     span = _pinned_max_span(P, Q, d) if d <= _PINNED_MAX_DIM else None
     if span is None:
-        return deficit, flags
+        return deficit, flags, None
     if span >= float(_LD_PI):
-        return _LD_ONE, flags
-    return 2 * np.sin(_LD(span) / 4) ** 2, flags
+        return _LD_ONE, flags, None
+    return 2 * np.sin(_LD(span) / 4) ** 2, flags, None
 
 
 def tightness_witness(F: float, D: float, d: int) -> UnitaryOperator:
-    """Two-angle diagonal unitary attaining c(F, D) with the observed moments.
+    """Two-angle diagonal unitary with the observed moments whose diamond
+    distance is the certificate b_fd: it attains c(F, D).
 
     Spectrum: (d-2) eigenvalues in conjugate pairs e^{+-i alpha} and one pair
-    e^{+-i beta} with cos(beta) = c(F, D), cos(alpha) = (P - 2c)/(d - 2).
-    Exists only for admissible (F, D); inadmissible data (both derived
-    cosines must lie in [-1, 1]) raises ValueError.
+    e^{+-i beta} with cos(beta) = c(F, D) and cos(alpha) the relaxation's
+    bulk cosine. It exists exactly where the certificate is the attained
+    relaxation, for even d; elsewhere ValueError.
     """
-    if d < 4:
-        raise ValueError("tightness witness requires d >= 4")
+    _check_fd(F, D)
     if d % 2:
         raise ValueError("tightness witness requires even d")
-    _check_fd(F, D)
-    _, _, _, radicand, deficit, bulk_excess, _ = _relaxation_root(1.0 - F, D, d)
-    if radicand < 0:
-        raise ValueError("inadmissible (F, D): negative certificate radicand")
-    a, b = 1 + bulk_excess, 1 - deficit
-    for name, val in (("bulk", float(a)), ("extremal", float(b))):
-        if not -1 - 1e-12 <= val <= 1 + 1e-12:
-            raise ValueError(
-                f"inadmissible (F, D): derived {name} cosine {val} outside [-1, 1]"
-            )
-    alpha = float(np.arccos(np.clip(a, -_LD_ONE, _LD_ONE)))
-    beta = float(np.arccos(np.clip(b, -_LD_ONE, _LD_ONE)))
+    deficit, _, bulk = _certified_deficit_ld(1.0 - F, D, d)
+    if bulk is None:
+        raise ValueError("no two-angle spectrum attains c(F, D) at these data")
+    # bulk may exceed 1 by the _BULK_RTOL dP the relaxation branch allows
+    alpha = float(np.arccos(min(bulk, _LD_ONE)))
+    beta = float(np.arccos(1 - deficit))
     phases = [1j * alpha, -1j * alpha] * ((d - 2) // 2) + [1j * beta, -1j * beta]
     return UnitaryOperator(np.diag(np.exp(np.array(phases))))
 
@@ -439,7 +432,7 @@ def certificate_bundle(
                 f"(F, D) = ({F}, {D}) are not the moments ({s.F}, {s.D}) of x"
             )
         r, D = s.r, s.D
-    deficit, flags = _certified_deficit_ld(r, D, d, family_rtol)
+    deficit, flags, _ = _certified_deficit_ld(r, D, d, family_rtol)
     b_fd_val = _bound_from_deficit(deficit)
     r = min(max(r, 0.0), 1.0)
 

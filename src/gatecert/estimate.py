@@ -23,7 +23,6 @@ cross-average for F^2, both unbiased under shot noise.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
@@ -32,8 +31,9 @@ import numpy as np
 from .certify import CertFlags, CertificateBundle, certificate_bundle
 from .linalg import UnitaryOperator
 
-# not called here: bench/run.py traces the sequential reference loop under this name
-from .moments import single_fidelity  # noqa: F401
+# single_fidelity is not called here: bench/run.py traces the sequential
+# reference loop under this name
+from .moments import _check_integer, single_fidelity  # noqa: F401
 
 _MC_BATCH = 1 << 22  # amplitudes per chunk at most, keeps memory flat at large d
 # states per chunk at most: _MC_BATCH // d alone is a million states at d = 4,
@@ -62,15 +62,6 @@ class HaarMCResult(NamedTuple):
     E2_mc: float
     stderr_F: float
     stderr_E2: float
-
-
-def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
-    """Raise ValueError unless value is a numbers.Integral in [low, high)."""
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low or (high is not None and value >= high):
-        bound = f"[{low}, {high})" if high is not None else f">= {low}"
-        raise ValueError(f"{name} must be an integer {bound}, got {value}")
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -145,26 +136,28 @@ def haar_mc_moments(x: UnitaryOperator, samples: int, seed: int) -> HaarMCResult
 
     The samples are the exact fidelities of the states that
     simulate_protocol(x, samples, N, seed) draws, with no shot noise; the
-    estimate is an oracle for the closed forms.
+    estimate is an oracle for the closed forms. The variances come from sums
+    of deviations from the first chunk's means: near the identity they are
+    far below the squared means, which a one-pass s2/n - F^2 cancels away.
     """
     _check_integer("samples", samples, 100)
-    s1 = s2 = s4 = 0.0
+    s1 = s2 = 0.0
+    shift = None
+    dev, sq = np.zeros(2), np.zeros(2)  # sums of (f, f^2) - shift and of their squares
     for f in _haar_fidelities(x, samples, seed):
-        s1 += float(f.sum())
         f2 = f * f
+        s1 += float(f.sum())
         s2 += float(f2.sum())
-        s4 += float((f2 * f2).sum())
+        e = np.stack((f, f2))
+        if shift is None:
+            shift = e.mean(axis=1, keepdims=True)
+        e -= shift
+        dev += e.sum(axis=1)
+        sq += np.einsum("ij,ij->i", e, e)
     n = float(samples)
-    F_mc = s1 / n
-    E2_mc = s2 / n
-    var_f = max(s2 / n - F_mc**2, 0.0) * n / (n - 1)
-    var_f2 = max(s4 / n - E2_mc**2, 0.0) * n / (n - 1)
-    return HaarMCResult(
-        F_mc=F_mc,
-        E2_mc=E2_mc,
-        stderr_F=math.sqrt(var_f / n),
-        stderr_E2=math.sqrt(var_f2 / n),
-    )
+    var = np.maximum(sq - dev * dev / n, 0.0) / (n - 1)
+    stderr_F, stderr_E2 = np.sqrt(var / n).tolist()
+    return HaarMCResult(F_mc=s1 / n, E2_mc=s2 / n, stderr_F=stderr_F, stderr_E2=stderr_E2)
 
 
 def estimate_moments(counts, N: int, seed: int | None = None) -> EstimationResult:

@@ -35,6 +35,7 @@ and the certificate in certify reads it for its relaxation root.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -104,6 +105,16 @@ def fd_from_unitary(x: UnitaryOperator) -> MomentSummary:
     s = MomentSummary(dim=d, F=float(F), D=math.sqrt(D2), r=r)
     object.__setattr__(x, "_moments", s)
     return s
+
+
+def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise ValueError unless value is a numbers.Integral in [low, high)."""
+    # int first: it skips the ABC's instance check, 0.5 us per certificate
+    if not isinstance(value, (int, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value >= high):
+        bound = f"[{low}, {high})" if high is not None else f">= {low}"
+        raise ValueError(f"{name} must be an integer {bound}, got {value}")
 
 
 def _check_fd(F: float, D: float) -> None:

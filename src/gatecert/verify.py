@@ -191,7 +191,7 @@ def check_witness_roundtrip(full: bool):
     rng = np.random.default_rng(1212)
     pairs = 0
     target = 50 if full else 10
-    worst_fd = worst_m = 0.0
+    worst_fd = worst_b = 0.0
     while pairs < target:
         d = 4 if pairs % 2 == 0 else 8
         x = _near_identity_unitary(d, rng, rng.uniform(0.05, 0.35))
@@ -199,16 +199,17 @@ def check_witness_roundtrip(full: bool):
         try:
             witness = certify.tightness_witness(s.F, s.D, d)
         except ValueError:
-            continue  # inadmissible draw (pinned regime), redraw
+            continue  # the certificate is not the attained relaxation, redraw
         pairs += 1
         ws = moments.fd_from_unitary(witness)
-        worst_fd = max(worst_fd, abs(ws.F - s.F), abs(ws.D - s.D))
-        c = certify.certificate_bundle(d, s.F, s.D).c_value
-        worst_m = max(worst_m, abs(certify.min_overlap_exact(witness) - c))
-    ok = worst_fd <= 1e-9 and worst_m <= 1e-9
+        b_fd = certify.certificate_bundle(d, s.F, s.D).b_fd
+        for got, want in ((ws.r, s.r), (ws.D, s.D)):
+            worst_fd = max(worst_fd, abs(got - want) / max(want, 1e-300))
+        worst_b = max(worst_b, abs(certify.diamond_exact(witness) - b_fd) / max(b_fd, 1e-300))
+    ok = worst_fd <= 1e-9 and worst_b <= 1e-9
     return ok, (
-        f"{pairs} admissible pairs: max (F,D) reproduction err = {worst_fd:.2e}, "
-        f"max |m - c| = {worst_m:.2e} (tol 1e-9)"
+        f"{pairs} admissible pairs: max relative (r,D) reproduction err = {worst_fd:.2e}, "
+        f"max relative |d_exact(witness) - b_fd| = {worst_b:.2e} (tol 1e-9)"
     )
 
 

@@ -14,11 +14,11 @@ import gatecert.moments
 
 BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
-# wrappers that only tests used, the hull routines that nothing in the
-# package calls any more, the per-state record type that pass counts replace,
-# the hybrid minimum and the (F, D) entries whose values certificate_bundle
-# returns itself, and the gate builders and matrix exponentials that
-# gate_matrix replaces
+# wrappers that only tests used, the second path to the diamond distance,
+# the hull routines that nothing in the package calls any more, the
+# per-state record type that pass counts replace, the hybrid minimum and the
+# (F, D) entries whose values certificate_bundle returns itself, and the
+# gate builders and matrix exponentials that gate_matrix replaces
 REMOVED = (
     "ShotRecord",
     "adjoint",
@@ -35,8 +35,11 @@ REMOVED = (
     "exp_projector_squared",
     "ideal_gate",
     "kron",
+    "min_overlap_exact",
     "multiply",
     "overrotated_gate",
+    "sample_haar_state",
+    "single_fidelity",
     "symmetric_subspace_dim",
     "trace",
     "trace_of_square",
@@ -63,8 +66,9 @@ def test_removed_constants_stay_removed():
     # Q, the blocked trace and the trace of the square that the eigenphase
     # moments replace, the |det| check that the unitarity residual already
     # implies, the gate kernel's general two-qubit path that the
-    # controlled-block shape of every gate replaces, and the second Haar
-    # sampler that the protocol's amplitude stream replaces
+    # controlled-block shape of every gate replaces, the second Haar sampler
+    # that the protocol's amplitude stream replaces, and the minimum overlap
+    # and its eigenphase-arc helper, folded into diamond_exact
     for module, name in (
         (gatecert.certify, "_PINNED_GRID"),
         (gatecert.certify, "_SUBSCAN_CHUNK"),
@@ -78,6 +82,8 @@ def test_removed_constants_stay_removed():
         (gatecert.moments, "_MC_BATCH"),
         (gatecert.moments, "_stacked_fidelities"),
         (gatecert.moments, "haar_mc_moments"),
+        (gatecert.certify, "min_overlap_exact"),
+        (gatecert.certify, "_eigenphase_arc"),
     ):
         assert not hasattr(module, name), name
 

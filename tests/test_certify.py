@@ -16,7 +16,6 @@ from gatecert import (
     certificate_bundle,
     diamond_exact,
     fd_from_unitary,
-    min_overlap_exact,
     tightness_witness,
 )
 from gatecert.certify import (
@@ -34,27 +33,16 @@ from gatecert.verify import _near_identity_unitary
 CZ_GRID = (0.01, 0.05, 0.1, 0.3, 0.7, 1.2)
 
 
-def test_min_overlap_identity():
-    assert min_overlap_exact(UnitaryOperator(np.eye(4))) == pytest.approx(1.0)
-
-
-def test_min_overlap_cz():
-    x = build_cz_error(math.pi / 2)
-    assert min_overlap_exact(x) == pytest.approx(math.cos(math.pi / 4), abs=1e-12)
-    for phi in CZ_GRID:
-        assert min_overlap_exact(build_cz_error(phi)) == pytest.approx(
-            math.cos(phi / 2), abs=1e-12
-        )
-
-
-def test_min_overlap_enclosing_spectrum():
+def test_diamond_exact_enclosing_spectrum():
+    # the origin lies in the spectrum's convex hull: the minimum overlap is 0
     x = UnitaryOperator(np.diag([1, 1j, -1, -1j]))
-    assert min_overlap_exact(x) == 0.0
+    assert diamond_exact(x) == 1.0
 
 
 def test_diamond_exact_examples():
-    assert diamond_exact(UnitaryOperator(np.eye(8))) == 0.0
-    for phi in CZ_GRID:
+    for d in (4, 8):
+        assert diamond_exact(UnitaryOperator(np.eye(d))) == 0.0
+    for phi in CZ_GRID + (math.pi / 2,):
         assert diamond_exact(build_cz_error(phi)) == pytest.approx(
             abs(math.sin(phi / 2)), abs=1e-12
         )
@@ -87,9 +75,6 @@ def test_diamond_exact_high_fidelity_references():
             arc = _mpmath_arc(x)
             ref = float(mpmath.sin(arc / 2)) if arc < mpmath.pi else 1.0
             assert diamond_exact(x) == pytest.approx(ref, rel=1e-9)
-            assert min_overlap_exact(x) == pytest.approx(
-                max(0.0, float(mpmath.cos(arc / 2))), abs=1e-12
-            )
 
 
 def test_bound_fidelity_only_values():
@@ -167,10 +152,24 @@ def test_out_of_range_data_is_rejected():
     assert certificate_bundle(4, 1.0 + 1e-13, 0.0).b_fd == 0.0
 
 
+def test_dimension_that_does_not_exist_is_rejected():
+    # d = 4.5 was certified (b_fd = 0.1106), and bound_ru divided by zero at
+    # d = 1; the certificate core checks d for the bundle and the witness
+    for d in (4.5, 4.0, np.float64(8.0)):
+        with pytest.raises(ValueError):
+            certificate_bundle(d, 0.99, 0.002)
+        with pytest.raises(ValueError):
+            tightness_witness(0.99, 0.002, d)
+    for d in (1, 0, -3):
+        with pytest.raises(ValueError):
+            bound_ru(0.1, 1.0, d)
+    assert certificate_bundle(np.int64(4), 0.99, 0.002) == certificate_bundle(4, 0.99, 0.002)
+
+
 def test_certified_overlap_toffoli_validity():
     x = build_model_error("toffoli", 0.1)
     s = fd_from_unitary(x)
-    assert certificate_bundle(8, s.F, s.D).c_value <= min_overlap_exact(x) + 1e-9
+    assert certificate_bundle(8, s.F, s.D).b_fd >= diamond_exact(x) - 1e-9
 
 
 def test_bound_fd_cz_tightness():
@@ -306,10 +305,11 @@ def test_witness_roundtrip_random():
         done += 1
         ws = fd_from_unitary(w)
         assert abs(ws.F - s.F) <= 1e-9
-        assert abs(ws.D - s.D) <= 1e-9
-        c = certificate_bundle(d, s.F, s.D).c_value
-        assert abs(min_overlap_exact(w) - c) <= 1e-9
-        assert c <= min_overlap_exact(x) + 1e-9
+        assert ws.r == pytest.approx(s.r, rel=1e-9, abs=0.0)
+        assert ws.D == pytest.approx(s.D, rel=1e-9, abs=0.0)
+        b_fd = certificate_bundle(d, s.F, s.D).b_fd
+        assert diamond_exact(w) == pytest.approx(b_fd, rel=1e-9, abs=0.0)
+        assert b_fd >= diamond_exact(x) * (1 - 1e-9)
 
 
 def test_witness_rejects_odd_or_small_dimension():
@@ -324,6 +324,20 @@ def test_witness_rejects_inadmissible_cz_moments():
     s = fd_from_unitary(build_cz_error(0.3))
     with pytest.raises(ValueError):
         tightness_witness(s.F, s.D, 4)
+
+
+def test_witness_only_where_the_relaxation_is_attained():
+    # at these CZ points b_fd is the relaxation root, which no spectrum
+    # attains: the witness built there missed the data's D by 2.7 %
+    for phi in (1e-6, 5e-6):
+        s = fd_from_unitary(build_cz_error(phi))
+        try:
+            w = tightness_witness(s.F, s.D, 4)
+        except ValueError:
+            continue
+        assert fd_from_unitary(w).D == pytest.approx(s.D, rel=1e-9, abs=0.0)
+        b_fd = certificate_bundle(4, s.F, s.D).b_fd
+        assert diamond_exact(w) == pytest.approx(b_fd, rel=1e-9, abs=0.0)
 
 
 def test_radicand_clamp_flag_on_inconsistent_data():

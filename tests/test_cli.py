@@ -280,7 +280,9 @@ def test_verify_detects_broken_certificate(monkeypatch, capsys):
     import gatecert.certify as ce
 
     def broken(r, D, d, family_rtol=None):
-        return ce._LD(0.0), ce.CertFlags.NONE  # 1 - c = 0: c = 1, b_fd = 0
+        # 1 - c = 0: c = 1, b_fd = 0, claimed on the relaxation branch with
+        # bulk cosine 1 (the identity's spectrum)
+        return ce._LD(0.0), ce.CertFlags.NONE, ce._LD(1.0)
 
     monkeypatch.setattr(ce, "_certified_deficit_ld", broken)
     rc = main(["verify"])

@@ -14,12 +14,17 @@ from gatecert import (
     fd_from_unitary,
     haar_mc_moments,
     run_protocol,
-    sample_haar_state,
     simulate_protocol,
-    single_fidelity,
     substream,
 )
-from gatecert.estimate import _CHUNK_STATES, _MC_BATCH, _stacked_fidelities
+from gatecert.estimate import (
+    _CHUNK_STATES,
+    _MC_BATCH,
+    _haar_fidelities,
+    _stacked_fidelities,
+    sample_haar_state,
+)
+from gatecert.moments import single_fidelity
 
 
 def chunk_states(d):
@@ -108,6 +113,18 @@ def test_haar_mc_reads_the_protocol_states():
     f = [single_fidelity(x, sample_haar_state(x.dim, amplitudes)) for _ in range(m_states)]
     mc = haar_mc_moments(x, m_states, seed)
     assert mc.F_mc == pytest.approx(math.fsum(f) / m_states, rel=1e-13, abs=0.0)
+
+
+def test_haar_mc_stderr_matches_two_pass_near_identity():
+    # a one-pass variance cancels near the identity: at phi = 1e-4 it read
+    # stderr_F 19 times too wide and stderr_E2 as 0
+    for phi in (1e-5, 1e-4, 1e-2):
+        x = build_cz_error(phi)
+        f = np.concatenate(list(_haar_fidelities(x, 10_000, 0)))
+        mc = haar_mc_moments(x, 10_000, seed=0)
+        for got, v in ((mc.stderr_F, f), (mc.stderr_E2, f * f)):
+            want = np.std(v, ddof=1) / math.sqrt(v.size)
+            assert got == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
 def test_protocol_fidelities_match_single_fidelity():

@@ -13,8 +13,8 @@ from gatecert import (
     haar_mc_moments,
     haar_random_unitary,
     pq_from_fd,
-    single_fidelity,
 )
+from gatecert.moments import single_fidelity
 
 SQRT_17_7 = math.sqrt(17.0 / 7.0)
 
