@@ -141,6 +141,7 @@ def diamond_exact(x: UnitaryOperator) -> float:
 
 def bound_fidelity_only(r: float, d: int) -> float:
     """Fidelity-only conversion: sqrt(d (d+1) r), unclamped."""
+    _check_integer("dimension d", d, 2)
     if not -1e-12 <= r <= 1.0 + 1e-12:
         raise ValueError(f"infidelity r must lie in [0, 1], got {r}")
     return math.sqrt(d * (d + 1) * max(r, 0.0))
@@ -148,8 +149,7 @@ def bound_fidelity_only(r: float, d: int) -> float:
 
 def bound_ru(r: float, u: float, d: int) -> float:
     """Unitarity-assisted bound: d^2 c_d sqrt(u + 2dr/(d-1) - 1), unclamped."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    _check_integer("dimension d", d, 2)
     if not -1e-12 <= r <= 1.0 + 1e-12:
         raise ValueError(f"infidelity r must lie in [0, 1], got {r}")
     if not (math.isfinite(u) and 0.0 <= u <= 1.0 + 1e-12):

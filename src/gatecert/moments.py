@@ -10,17 +10,19 @@ via F = (d + P^2) / (d (d+1)) and
 
 D^2 = E2 - F^2 cancels to fourth order in the error angle near the identity,
 and so does r = 1 - F to second order, so neither is taken from the traces.
-Both come from the eigenphases theta_j: with s_jk = 2 sin^2((theta_j -
-theta_k)/2), S = sum_{j != k} s_jk, R_j = sum_k s_jk, N = d (d+1) and
+Both come from the centred eigenvalues a_j = lambda_j - tr X / d: with
+s2 = sum |a_j|^2, m4 = sum |a_j|^4, t = sum a_j^2, N = d (d+1) and
 B = N (d+2) (d+3),
 
-    r   = S / N,
-    D^2 = [4 sum_j (R_j - S/d)^2 + 2 sum_{j != k} (s_jk - S/(d(d-1)))^2
-           + 4 S^2 / (d (d^2 - 1))] / B,
+    r   = s2 / (d + 1),
+    D^2 = [sum_j (d |a_j|^2 - s2)^2 + d m4 + |t|^2 - 2 s2^2 / (d - 1)
+           + 4 d s2^2 / (d^2 - 1)] / B,
 
-a sum of nonnegative terms with no cancellation, evaluated in float64 in
-O(d^2). F itself is read off tr X, summed in extended precision
-(np.longdouble; 80-bit on x86-64 Linux) before rounding to float64.
+the eigenphase pair sums over s_jk = |a_j - a_k|^2 / 2, regrouped and
+evaluated in float64 in O(d). The one subtraction is (d+1)/(2d) <= 3/4 of
+the last term, so D^2 keeps its relative accuracy for every d >= 2. F
+itself is read off tr X, summed in extended precision (np.longdouble;
+80-bit on x86-64 Linux) before rounding to float64.
 
 The inversion of the moment map lives in one place, _moment_deviations. It
 takes (r, D) to the distances of the invariants from the identity's,
@@ -65,28 +67,22 @@ class PQInvariants(NamedTuple):
 
 
 def _spectral_moments(lam: np.ndarray):
-    """(r, D^2) in float64 from the eigenvalues lam of a unitary, by the
-    eigenphase closed form in the module docstring. The one d x d array is
-    float64, worked in place."""
+    """(r, D^2) from the eigenvalues lam of a unitary (module docstring),
+    centred from e^{i(theta_j - theta_0)} - 1, whose expm1 keeps relative
+    accuracy near the identity."""
     d = lam.size
     if d < 2:
         return 0.0, 0.0
     theta = np.angle(lam)
-    s = np.subtract.outer(theta, theta)
-    s *= 0.5
-    np.sin(s, out=s)
-    np.square(s, out=s)
-    s *= 2.0
-    row = s.sum(axis=1)
-    total = float(row.sum())
-    row -= total / d
-    s -= total / (d * (d - 1))
-    np.fill_diagonal(s, 0.0)
-    np.square(s, out=s)
-    n = d * (d + 1)
-    big = n * (d + 2) * (d + 3)
-    d2 = 4.0 * float(row @ row) + 2.0 * float(s.sum()) + 4.0 * total * total / (d * (d * d - 1))
-    return total / n, d2 / big
+    a = np.expm1((theta - theta[0]) * 1j)
+    a -= a.sum() / d  # mean() costs a quarter of this call at d = 4
+    p = np.abs(a) ** 2
+    s2 = float(p.sum())
+    t = abs(complex(a @ a))
+    dev = d * p - s2
+    q = s2 * s2
+    num = float(dev @ dev) + d * float(p @ p) + t * t - 2 * q / (d - 1) + 4 * d * q / (d * d - 1)
+    return s2 / (d + 1), num / (d * (d + 1) * (d + 2) * (d + 3))
 
 
 def fd_from_unitary(x: UnitaryOperator) -> MomentSummary:
@@ -165,8 +161,7 @@ def pq_from_fd(F: float, D: float, d: int) -> PQInvariants:
     as in the certificates.
     """
     _check_fd(F, D)
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    _check_integer("dimension d", d, 2)
     if d < 4:
         warnings.warn(
             "pq_from_fd at d < 4: (F, D) are not independent there; "

@@ -192,7 +192,9 @@ def check_witness_roundtrip(full: bool):
     pairs = 0
     target = 50 if full else 10
     worst_fd = worst_b = 0.0
-    while pairs < target:
+    draws = 0
+    while pairs < target and draws < 4 * target:
+        draws += 1
         d = 4 if pairs % 2 == 0 else 8
         x = _near_identity_unitary(d, rng, rng.uniform(0.05, 0.35))
         s = moments.fd_from_unitary(x)
@@ -206,6 +208,8 @@ def check_witness_roundtrip(full: bool):
         for got, want in ((ws.r, s.r), (ws.D, s.D)):
             worst_fd = max(worst_fd, abs(got - want) / max(want, 1e-300))
         worst_b = max(worst_b, abs(certify.diamond_exact(witness) - b_fd) / max(b_fd, 1e-300))
+    if pairs < target:
+        return False, f"{pairs} of {target} admissible pairs in {draws} draws"
     ok = worst_fd <= 1e-9 and worst_b <= 1e-9
     return ok, (
         f"{pairs} admissible pairs: max relative (r,D) reproduction err = {worst_fd:.2e}, "

@@ -178,9 +178,12 @@ def test_dimension_that_does_not_exist_is_rejected():
             certificate_bundle(d, 0.99, 0.002)
         with pytest.raises(ValueError):
             tightness_witness(0.99, 0.002, d)
-    for d in (1, 0, -3):
+    # the conversions too: sqrt(d (d+1) r) is finite at d = 4.5 or -3
+    for d in (1, 0, -3, 4.5, np.float64(8.0)):
         with pytest.raises(ValueError):
             bound_ru(0.1, 1.0, d)
+        with pytest.raises(ValueError):
+            bound_fidelity_only(0.1, d)
     assert certificate_bundle(np.int64(4), 0.99, 0.002) == certificate_bundle(4, 0.99, 0.002)
 
 

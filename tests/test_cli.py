@@ -290,6 +290,19 @@ def test_verify_detects_broken_certificate(monkeypatch, capsys):
     assert "[FAIL] cz-tightness" in capsys.readouterr().out
 
 
+def test_witness_check_stops_when_no_pair_is_admissible(monkeypatch):
+    # a core that never reports an attained relaxation has no witness to
+    # check: the check must fail after 4 x target draws, not redraw forever
+    import gatecert.certify as ce
+    import gatecert.verify as ve
+
+    def unattained(r, D, d, family_rtol=None):
+        return ce._LD(0.0), ce.CertFlags.NONE, None
+
+    monkeypatch.setattr(ce, "_certified_deficit_ld", unattained)
+    assert ve.check_witness_roundtrip(False) == (False, "0 of 10 admissible pairs in 40 draws")
+
+
 def test_unitarity_failure_is_numerical_failure(monkeypatch, capsys):
     # UnitarityError is a ValueError, but a failed unitarity check is a
     # numerical failure (exit 2), not a usage error (exit 1)

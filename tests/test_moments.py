@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -14,7 +15,7 @@ from gatecert import (
     haar_random_unitary,
     pq_from_fd,
 )
-from gatecert.moments import single_fidelity
+from gatecert.moments import _spectral_moments, single_fidelity
 
 SQRT_17_7 = math.sqrt(17.0 / 7.0)
 
@@ -79,6 +80,52 @@ def test_eigenphase_moments_against_mpmath(model, n):
         s = fd_from_unitary(x)
         assert abs(s.r - r_ref) <= 1e-13 * r_ref
         assert abs(s.D - mpmath.sqrt(d2_ref)) <= 1e-13 * mpmath.sqrt(d2_ref)
+
+
+def _kernel_spectra(d, scale, rng):
+    """Eigenphases of four kinds at this scale. Clusters that straddle +-pi
+    are left out: float64 phases near +-pi keep only about 4e-16 absolute,
+    which cannot resolve a cluster of width 1e-8 split across the cut, so
+    any kernel reading them loses digits there (about 1e-8 relative in D^2
+    at d = 8), below the resolution of X itself."""
+    pair = np.zeros(d)
+    pair[-2:] = scale, 1.3 * scale
+    two_point = np.zeros(d)
+    two_point[rng.integers(1, d) :] = scale
+    return {
+        "gaussian": scale * rng.standard_normal(d),
+        "split-off pair": pair,
+        # |a_j| equal for even d, so every d |a_j|^2 - s2 vanishes
+        "conjugate pairs": np.where(np.arange(d) < d // 2, scale, -scale),
+        "two-point": two_point,
+    }
+
+
+@pytest.mark.parametrize("d", [4, 5, 8, 16, 64, 256])
+def test_spectral_moments_against_mpmath(d):
+    # odd d and d > 16, which the model grids never reach, against the
+    # traces at 60 digits on the same float64 phases
+    rng = np.random.default_rng([14, d])
+    for scale in np.geomspace(1e-8, 3.0, 9):
+        for kind, phases in _kernel_spectra(d, scale, rng).items():
+            lam = np.exp(1j * (phases + rng.uniform(-2.5, 2.5)))
+            r_ref, d2_ref = _mpmath_moments(np.angle(lam))
+            r, d2 = _spectral_moments(lam)
+            assert abs(r - r_ref) <= 1e-13 * r_ref, (kind, scale)
+            D_ref = mpmath.sqrt(d2_ref)
+            assert abs(math.sqrt(d2) - D_ref) <= 1e-13 * D_ref, (kind, scale)
+
+
+def test_spectral_moments_hold_no_pair_matrix():
+    # three O(d) sums: one d x d float64 array would take 8.4 MB here
+    lam = np.exp(1j * np.random.default_rng(15).uniform(-math.pi, math.pi, 1024))
+    tracemalloc.start()
+    try:
+        _spectral_moments(lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def _trace_invariants(x):
@@ -153,8 +200,10 @@ def test_pq_rejects_data_no_error_produces():
 def test_pq_small_dimension_warns():
     with pytest.warns(UserWarning):
         pq_from_fd(0.9, 0.02, 2)
-    with pytest.raises(ValueError):
-        pq_from_fd(0.9, 0.02, 1)
+    # the moment map has invariants at d = 4.5, of no system
+    for d in (1, 4.5, np.float64(8.0)):
+        with pytest.raises(ValueError):
+            pq_from_fd(0.99, 0.002, d)
 
 
 def test_single_fidelity_examples():
