@@ -44,11 +44,15 @@ Beyond the search cap of d = 64 it falls back to the always-valid
 relaxation root.
 
 _certified_deficit_ld decides the branch once and returns the record
-(1 - c, flags, bulk), where bulk is the cosine a of the conjugate-pair
-spectrum when c is that spectrum's overlap, and None on every other branch.
-tightness_witness builds its diagonal unitary from that record, so a witness
-exists exactly where the certificate is the attained relaxation (for even
-d), and its diamond distance is b_fd.
+(1 - c, flags, spectrum), where spectrum() gives the phases and
+multiplicities of a spectrum with the data's moments whose minimum overlap
+is c, on each branch that solves the problem (the conjugate-pair spectrum of
+the attained relaxation at even d, the two-point family, the three-point
+search's best root), and spectrum is None on the odd-d relaxation, the
+dim-cap and relaxation-root fallbacks and vacuous results.
+tightness_witness is the diagonal unitary of that spectrum, kept when its
+own (r, D) reproduce the data to 1e-9 relative; its diamond distance is
+b_fd.
 
 Unlike the plain relaxation, the exact boundary-corrected certificate is not
 globally monotone in D at fixed r: crossing the attainability seam can raise
@@ -60,6 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntFlag
+from functools import partial
 
 import numpy as np
 
@@ -85,6 +90,8 @@ _BULK_RTOL = 1e-12
 # of a family curve can span up to about 0.6 sqrt(tol) more than the family
 # gap (one eigenvalue split off the cluster), which is 2e-6 here
 _FAMILY_RTOL = 1e-11
+# the relative float64 rounding of r = 1 - F, a few eps
+_R_ROUNDING = 4 * np.finfo(np.float64).eps
 _PINNED_MAX_DIM = 64  # three-point search cap; beyond it keep the relaxation
 # interior atoms closer than this to another atom form degenerate two-point
 # configurations, where the search residual is tangential and root positions
@@ -165,9 +172,9 @@ def bound_ru(r: float, u: float, d: int) -> float:
 
 
 def _two_point_sin2(dP, D, d: int, family_rtol: float):
-    """sin^2(g/2) of the widest two-point spectrum (p eigenvalues at angle g,
-    q = d - p at 0) that matches (dP, D), or None when the data lies on no
-    two-point family.
+    """(sin^2(g/2), p) of the widest two-point spectrum (p eigenvalues at
+    angle g, q = d - p at 0) that matches (dP, D), or None when the data lies
+    on no two-point family.
 
     On the family of split p both moments are closed-form in g, and so in
     each other: sin^2(g/2) = dP / (4pq) and D^2 = kappa_p dP^2 with
@@ -184,8 +191,12 @@ def _two_point_sin2(dP, D, d: int, family_rtol: float):
     kappa = (((q - p) ** 2 + dd) / (p * q * dd) - 2 / n) / (n * (dd + 2) * (dd + 3))
     D2 = _LD(D) ** 2
     sin2 = dP / (4 * p * q)
-    on = (sin2 <= 1) & (np.abs(D2 - kappa * dP * dP) <= family_rtol * D2)
-    return sin2[on].max() if on.any() else None
+    on = (sin2 <= 1 + _R_ROUNDING) & (np.abs(D2 - kappa * dP * dP) <= family_rtol * D2)
+    k = on.argmax()  # sin2 falls as p grows: the first family on is the widest
+    # c = sqrt(1 - sin2) resolves only about sqrt(eps) near g = pi: a 1 - sin2
+    # within the float64 rounding of r is 0, the valid weaker c = 0
+    sin2 = _LD_ONE if abs(1 - sin2[k]) <= _R_ROUNDING else sin2[k]
+    return (sin2, k + 1) if on[k] else None
 
 
 def _split_resultant(x, p, q, r, P2, Q2):
@@ -260,8 +271,10 @@ def _pinned_max_span(P, Q, d: int):
     Only roots driven to the extended-precision noise floor count, which
     drops the tangential valleys surrounding two-point data at double
     precision, as do roots whose atoms lie within _ENDPOINT_TOL of each other
-    and roots that Newton moved out of g in (0, pi]. The span max(0, h, g) -
-    min(0, h, g) of the best root is returned, or None when no root survives.
+    and roots that Newton moved out of g in (0, pi]. Returns the span
+    max(0, h, g) - min(0, h, g) of the best root with its spectrum, the
+    phases [0, g, h] and multiplicities [q, p, r], or None when no root
+    survives.
     """
     P = _LD(P)
     Q = _LD(Q)
@@ -304,18 +317,18 @@ def _pinned_max_span(P, Q, d: int):
     keep &= (gf > 0) & (gf <= np.pi)
     if not keep.any():
         return None
-    hf, gf = hf[keep], gf[keep]
+    hf, gf, p, q, r = (v[keep] for v in (hf, gf, p, q, r))
     span = np.maximum(np.maximum(hf, gf), 0.0) - np.minimum(np.minimum(hf, gf), 0.0)
-    return float(span.max())
+    k = span.argmax()
+    return float(span[k]), ([0.0, gf[k], hf[k]], [q[k], p[k], r[k]])
 
 
 def _relaxation_root(r, D, d: int):
     """The relaxation at infidelity r and deviation D, in extended precision.
 
-    Returns (dP, P, Q, R, 1 - b-, a - 1, flags): the radicand R as computed,
-    so callers see its sign (b- uses it clamped at 0), the deficit of the
-    relaxation root b- and the bulk cosine's excess over 1, both in forms
-    that do not cancel at leading order,
+    Returns (dP, P, Q, 1 - b-, a - 1, flags): the deficit of the relaxation
+    root b- and the bulk cosine's excess over 1, both in forms that do not
+    cancel at leading order, with the radicand R clamped at 0,
 
         1 - b- = [2 (d - P) + sqrt(R)] / (2d),
         a - 1  = [sqrt(R) / (d - 2) - (d - P)] / d,
@@ -340,7 +353,7 @@ def _relaxation_root(r, D, d: int):
     root = np.sqrt(max(radicand, _LD_ZERO))
     d_less_p = dP / (dd + P)
     deficit = (2 * d_less_p + root) / (2 * dd)
-    return dP, P, Q, radicand, deficit, (root / (dd - 2) - d_less_p) / dd, flags
+    return dP, P, Q, deficit, (root / (dd - 2) - d_less_p) / dd, flags
 
 
 def _bound_from_deficit(e) -> float:
@@ -349,55 +362,77 @@ def _bound_from_deficit(e) -> float:
     return float(np.sqrt(e * (2 - e)))
 
 
+def _conjugate_pairs(bulk_excess, deficit, d: int):
+    """The relaxation's spectrum {+-alpha^((d-2)/2), +-beta}, from the
+    half-angle forms sin^2(alpha/2) = -(a - 1)/2 and sin^2(beta/2) = (1 - b-)/2,
+    which do not cancel near the identity; a may exceed 1 by the _BULK_RTOL dP
+    the branch allows."""
+    alpha, beta = (2 * math.asin(math.sqrt(s)) for s in (max(-bulk_excess / 2, 0), deficit / 2))
+    return [alpha, -alpha, beta, -beta], [(d - 2) // 2] * 2 + [1, 1]
+
+
+def _two_point(sin2, p: int, d: int):
+    """The two-point family's spectrum {0^(d-p), g^p} with sin^2(g/2) = sin2."""
+    return [0.0, 2 * math.asin(math.sqrt(sin2))], [d - p, p]
+
+
 def _certified_deficit_ld(r, D, d: int, family_rtol: float = _FAMILY_RTOL):
     """The certificate at infidelity r and deviation D: (1 - c in extended
-    precision, warning flags, bulk). bulk is the bulk cosine of the
-    relaxation's conjugate-pair spectrum when c is that spectrum's overlap
-    (the relaxation branch, no clamp flag set), and None on every other
-    branch, where no such spectrum attains c."""
+    precision, warning flags, spectrum). spectrum() returns (phases,
+    multiplicities) of a spectrum with the data's moments whose minimum
+    overlap is c, on every branch that solves the problem: the relaxation's
+    conjugate-pair spectrum at even d with no clamp flag set, the two-point
+    family's and the three-point search's best root. spectrum is None on the
+    odd-d relaxation, the dim-cap and relaxation-root fallbacks and vacuous
+    results, where c is a bound that no spectrum is known to attain. The
+    phases are built only when called, so the certificate itself does not
+    pay for them."""
     _check_integer("dimension d", d, 0)
     if d < 4:
         raise ValueError(
             "the (F, D) certificate requires d >= 4; at d = 2, D = (1 - F)/sqrt(5) is fixed by F"
         )
-    dP, P, Q, _, deficit, bulk_excess, flags = _relaxation_root(r, D, d)
-    if deficit >= 1:
-        return _LD_ONE, flags, None
+    dP, P, Q, deficit, bulk_excess, flags = _relaxation_root(r, D, d)
     if bulk_excess <= _BULK_RTOL * dP:
-        return deficit, flags, None if flags else 1 + bulk_excess
+        if deficit >= 1 or d % 2 or flags:
+            return min(deficit, _LD_ONE), flags, None
+        return deficit, flags, partial(_conjugate_pairs, bulk_excess, deficit, d)
     # the relaxation's equality spectrum would need a bulk cosine above 1;
     # there the extremum concentrates on at most three support angles
-    sin2 = _two_point_sin2(dP, D, d, family_rtol)
-    if sin2 is not None:
-        return sin2 / (1 + np.sqrt(1 - sin2)), flags, None
-    span = _pinned_max_span(P, Q, d) if d <= _PINNED_MAX_DIM else None
-    if span is None:
-        return deficit, flags, None
+    found = _two_point_sin2(dP, D, d, family_rtol)
+    if found is not None:
+        sin2, p = found
+        return sin2 / (1 + np.sqrt(1 - sin2)), flags, partial(_two_point, sin2, p, d)
+    found = _pinned_max_span(P, Q, d) if d <= _PINNED_MAX_DIM else None
+    if found is None:
+        return min(deficit, _LD_ONE), flags, None
+    span, spectrum = found
     if span >= float(_LD_PI):
         return _LD_ONE, flags, None
-    return 2 * np.sin(_LD(span) / 4) ** 2, flags, None
+    return 2 * np.sin(_LD(span) / 4) ** 2, flags, lambda: spectrum
 
 
 def tightness_witness(F: float, D: float, d: int) -> UnitaryOperator:
-    """Two-angle diagonal unitary with the observed moments whose diamond
-    distance is the certificate b_fd: it attains c(F, D).
+    """Diagonal unitary with the observed moments whose diamond distance is
+    the certificate b_fd: it attains c(F, D).
 
-    Spectrum: (d-2) eigenvalues in conjugate pairs e^{+-i alpha} and one pair
-    e^{+-i beta} with cos(beta) = c(F, D) and cos(alpha) the relaxation's
-    bulk cosine. It exists exactly where the certificate is the attained
-    relaxation, for even d; elsewhere ValueError.
+    Its eigenphases are the spectrum that the certificate core records with
+    c: the relaxation's conjugate-pair spectrum at even d, the two-point
+    family {0^(d-p), g^p}, or the three-point search's best root
+    {0^q, g^p, h^r}. It is returned only when its own (r, D) reproduce the
+    data's to 1e-9 relative; where the core records no spectrum, or its
+    spectrum misses the data, ValueError.
     """
     _check_fd(F, D)
-    if d % 2:
-        raise ValueError("tightness witness requires even d")
-    deficit, _, bulk = _certified_deficit_ld(1.0 - F, D, d)
-    if bulk is None:
-        raise ValueError("no two-angle spectrum attains c(F, D) at these data")
-    # bulk may exceed 1 by the _BULK_RTOL dP the relaxation branch allows
-    alpha = float(np.arccos(min(bulk, _LD_ONE)))
-    beta = float(np.arccos(1 - deficit))
-    phases = [1j * alpha, -1j * alpha] * ((d - 2) // 2) + [1j * beta, -1j * beta]
-    return UnitaryOperator(np.diag(np.exp(np.array(phases))))
+    r = 1.0 - F
+    _, _, spectrum = _certified_deficit_ld(r, D, d)
+    if spectrum is None:
+        raise ValueError("no spectrum is known to attain c(F, D) at these data")
+    witness = UnitaryOperator(np.diag(np.exp(1j * np.repeat(*spectrum()))))
+    s = fd_from_unitary(witness)
+    if abs(s.r - r) > 1e-9 * r or abs(s.D - D) > 1e-9 * D:
+        raise ValueError(f"the spectrum's (r, D) = ({s.r}, {s.D}) miss the data ({r}, {D})")
+    return witness
 
 
 def certificate_bundle(

@@ -199,6 +199,17 @@ def test_bound_fd_cz_tightness():
         assert abs(certificate_bundle(4, s.F, s.D).b_fd - abs(math.sin(phi / 2))) <= 1e-9
 
 
+def test_bound_fd_cz_tight_where_the_relaxation_is_vacuous():
+    # beyond phi = 2.2774 the CZ relaxation root reaches 1 - c >= 1 without
+    # being attained; the certificate returned 1 there in place of the
+    # two-point family's |sin(phi/2)|, on the exact and the measured path
+    for phi in (2.3, 2.5, 2.8, 3.0, math.pi):
+        x = build_cz_error(phi)
+        s = fd_from_unitary(x)
+        for bundle in (certificate_bundle(4, s.F, s.D), certificate_bundle(4, s.F, s.D, x=x)):
+            assert bundle.b_fd == pytest.approx(abs(math.sin(phi / 2)), rel=1e-9, abs=0.0)
+
+
 def test_bound_fd_qft_orderings():
     x = build_model_error("qft", 0.05, 4)
     s = fd_from_unitary(x)
@@ -314,16 +325,11 @@ def test_witness_identity():
 
 def test_witness_roundtrip_random():
     rng = np.random.default_rng(21)
-    done = 0
-    while done < 20:
+    for done in range(20):
         d = 4 if done % 2 == 0 else 8
         x = _near_identity_unitary(d, rng, scale=rng.uniform(0.05, 0.3))
         s = fd_from_unitary(x)
-        try:
-            w = tightness_witness(s.F, s.D, d)
-        except ValueError:
-            continue
-        done += 1
+        w = tightness_witness(s.F, s.D, d)
         ws = fd_from_unitary(w)
         assert abs(ws.F - s.F) <= 1e-9
         assert ws.r == pytest.approx(s.r, rel=1e-9, abs=0.0)
@@ -340,11 +346,59 @@ def test_witness_rejects_odd_or_small_dimension():
         tightness_witness(0.99, 0.001, 2)
 
 
-def test_witness_rejects_inadmissible_cz_moments():
-    # the CZ family needs a bulk cosine above 1: no two-angle witness exists
-    s = fd_from_unitary(build_cz_error(0.3))
-    with pytest.raises(ValueError):
-        tightness_witness(s.F, s.D, 4)
+def _assert_witness_attains(F, D, d):
+    """tightness_witness(F, D, d) reproduces r = 1 - F and D, and its
+    diamond distance is b_fd, each to 1e-9 relative; returns b_fd."""
+    w = tightness_witness(F, D, d)
+    ws = fd_from_unitary(w)
+    assert ws.r == pytest.approx(1.0 - F, rel=1e-9, abs=0.0)
+    assert ws.D == pytest.approx(D, rel=1e-9, abs=0.0)
+    b_fd = certificate_bundle(d, F, D).b_fd
+    assert diamond_exact(w) == pytest.approx(b_fd, rel=1e-9, abs=0.0)
+    return b_fd
+
+
+def test_witness_on_two_point_families():
+    # the two-point branch is attained by {0^(d-p), g^p}: CZ, the paper's
+    # tight example, up to phi = pi, an odd d, and p = 4 and 7 eigenvalues
+    # at g (a global phase makes them the split p = 1; families with both
+    # clusters of two or more lie on the relaxation branch)
+    for phi in CZ_GRID + (math.pi / 2, 2.5, 3.0, math.pi):
+        s = fd_from_unitary(build_cz_error(phi))
+        assert _assert_witness_attains(s.F, s.D, 4) == pytest.approx(abs(math.sin(phi / 2)), rel=1e-9)
+    for phases in (np.repeat([0.0, 0.8], [1, 4]), np.repeat([0.0, 1.3], [1, 7])):
+        b_fd = _assert_witness_attains(*_spectrum_fd(phases), len(phases))
+        assert b_fd == pytest.approx(_diamond_from_phases(phases), rel=1e-9)
+
+
+def test_witness_at_the_three_point_root():
+    # the three-point search's best root {0^q, g^p, h^r} attains c(F, D)
+    for d in (4, 8, 16, 24):
+        rng = np.random.default_rng([0, d])
+        for _ in range(3):
+            phases, F, D = _three_point_spectrum(rng, d)
+            assert _assert_witness_attains(F, D, d) >= _diamond_from_phases(phases) - 1e-12
+
+
+def test_witness_refused_where_no_spectrum_attains_c():
+    unknown, missed = "no spectrum is known", "miss the data"
+    cz = fd_from_unitary(build_cz_error(1e-6))
+    cases = [
+        # the odd-d relaxation, whose root no conjugate-pair spectrum attains
+        (*_spectrum_fd([-0.12, 0.22, -0.3, 0.19, 0.18]), 5, unknown),
+        # beyond the three-point search's dimension cap
+        (*_spectrum_fd(np.repeat([0.0, 0.5, -0.9], [70, 1, 1])), 72, unknown),
+        # CZ at 1e-6 misses its family at r = 1 - F: the relaxation root
+        (cz.F, cz.D, 4, unknown),
+        # data that clamp the relaxation's radicand
+        (0.99, 0.002, 4, unknown),
+        # a near-identity three-point root, too imprecise to reproduce the
+        # data until the three-point search runs in deviation coordinates
+        (*_spectrum_fd(np.repeat([0.0, 0.715e-3, -1.129e-3], [6, 1, 1])), 8, missed),
+    ]
+    for F, D, d, reason in cases:
+        with pytest.raises(ValueError, match=reason):
+            tightness_witness(F, D, d)
 
 
 def test_witness_only_where_the_relaxation_is_attained():
@@ -488,11 +542,14 @@ def _three_point_spectrum(rng, d):
 
 
 def _assert_matches_oracle(P, Q, d, tol=1e-12):
-    span = _pinned_max_span(P, Q, d)
+    found = _pinned_max_span(P, Q, d)
     oracle = _pinned_max_span_grid(P, Q, d)
-    assert (span is None) == (oracle is None)
-    if span is not None:
-        assert abs(span - oracle) <= tol
+    assert (found is None) == (oracle is None)
+    if found is None:
+        return None
+    span, (phases, mult) = found
+    assert abs(span - oracle) <= tol
+    assert sum(mult) == d and np.ptp(phases) == span
     return span
 
 
@@ -510,8 +567,9 @@ def test_pinned_search_two_point_and_no_bracket():
         F, D = _spectrum_fd(np.repeat([0.0, gap], [d - p, p]))
         # on the family the gap is closed-form
         dP = _relaxation_root(1.0 - F, D, d)[0]
-        sin2 = _two_point_sin2(dP, D, d, _FAMILY_RTOL)
+        sin2, split = _two_point_sin2(dP, D, d, _FAMILY_RTOL)
         assert 2 * math.asin(math.sqrt(sin2)) == pytest.approx(gap, abs=1e-9)
+        assert split == p
         if d > 8:
             continue
         # just off the family the search runs, through the tangential
@@ -678,7 +736,7 @@ def test_pinned_search_against_constrained_optimization():
             rng = np.random.default_rng([seed, d])
             phases, F, D = _three_point_spectrum(rng, d)
             P, Q = _pq(F, D, d)
-            span = _pinned_max_span(P, Q, d)
+            span, _ = _pinned_max_span(P, Q, d)
             # the generating spectrum turned to start at 0 and listed with its
             # largest phase first, then random spreads
             t = np.sort(phases - phases.min())

@@ -280,9 +280,9 @@ def test_verify_detects_broken_certificate(monkeypatch, capsys):
     import gatecert.certify as ce
 
     def broken(r, D, d, family_rtol=None):
-        # 1 - c = 0: c = 1, b_fd = 0, claimed on the relaxation branch with
-        # bulk cosine 1 (the identity's spectrum)
-        return ce._LD(0.0), ce.CertFlags.NONE, ce._LD(1.0)
+        # 1 - c = 0: c = 1, b_fd = 0, claimed as attained by the identity's
+        # spectrum
+        return ce._LD(0.0), ce.CertFlags.NONE, lambda: ([0.0], [d])
 
     monkeypatch.setattr(ce, "_certified_deficit_ld", broken)
     rc = main(["verify"])
@@ -291,8 +291,8 @@ def test_verify_detects_broken_certificate(monkeypatch, capsys):
 
 
 def test_witness_check_stops_when_no_pair_is_admissible(monkeypatch):
-    # a core that never reports an attained relaxation has no witness to
-    # check: the check must fail after 4 x target draws, not redraw forever
+    # a core that records no attaining spectrum has no witness to check: the
+    # check fails on the first draw and names it, without redrawing
     import gatecert.certify as ce
     import gatecert.verify as ve
 
@@ -300,7 +300,10 @@ def test_witness_check_stops_when_no_pair_is_admissible(monkeypatch):
         return ce._LD(0.0), ce.CertFlags.NONE, None
 
     monkeypatch.setattr(ce, "_certified_deficit_ld", unattained)
-    assert ve.check_witness_roundtrip(False) == (False, "0 of 10 admissible pairs in 40 draws")
+    assert ve.check_witness_roundtrip(False) == (
+        False,
+        "draw 1 of 10 (d = 4) has no witness: no spectrum is known to attain c(F, D) at these data",
+    )
 
 
 def test_unitarity_failure_is_numerical_failure(monkeypatch, capsys):

@@ -14,13 +14,19 @@ output at five points; `estimate --repeats 20` at five points. No CLI output
 reaches the tightness witness or the (F, D)-only three-point search, so one
 more file, `certify.csv`, holds `certificate_bundle(d, F, D, u=1.0)`'s `b_fd`,
 `c_value` and `flags`, and the diamond distance of `tightness_witness(F, D,
-d)` or `ValueError`, on fixed inputs that reach every branch of c(F, D).
+d)` or `ValueError`, on fixed inputs that reach every branch of c(F, D): the
+relaxation at even and odd d, two-point families (CZ up to phi = pi, d = 5
+and 8), the three-point search up to d = 24, the dim cap, the
+relaxation-root fallback, clamped and vacuous data. The witness exists on
+the relaxation at even d and on the two-point and three-point branches;
+every other row reads `ValueError`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -64,7 +70,10 @@ ESTIMATES = {
 SPECTRA = {
     "two_point_d4": [0.0] * 3 + [0.7],
     "two_point_d8": [0.0] + [0.9] * 7,
+    "two_point_d5": [0.0] + [0.8] * 4,
     "cz_0.3": [0.0] * 3 + [0.3],
+    "cz_2.5": [0.0] * 3 + [2.5],
+    "cz_pi": [0.0] * 3 + [math.pi],
     "relaxation_d4": [0.08, 0.24, 0.17, -0.16],
     "relaxation_d5": [-0.12, 0.22, -0.3, 0.19, 0.18],
     "relaxation_d6": [-0.02, -0.12, -0.13, -0.15, -0.03, 0.0],
