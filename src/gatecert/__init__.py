@@ -17,6 +17,7 @@ from .estimate import (
     estimate_moments,
     haar_mc_moments,
     run_protocol,
+    run_protocols,
     simulate_protocol,
     substream,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "pq_from_fd",
     "qft_circuit",
     "run_protocol",
+    "run_protocols",
     "simulate_protocol",
     "substream",
     "tightness_witness",

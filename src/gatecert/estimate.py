@@ -12,6 +12,15 @@ binomial from the second), while each f_i may differ from single_fidelity's
 in the last bits: on QFT error models, up to 4.4e-15 relative over 4000
 states at d = 256 and 6.1e-15 over 1000 states at d = 1024.
 
+run_protocols runs one protocol per seed as one run; simulate_protocol,
+run_protocol and haar_mc_moments are its one-seed case. The calling thread
+makes every stream, takes every product and draws every binomial and
+estimate. One module-level worker thread, started by the first run of more
+than one chunk, draws each chunk's normals while the caller takes the
+previous chunk's product and binomials, into one of two buffers the caller
+allocates per run. Every draw keeps its place in its stream, so the overlap
+changes when the states are drawn and nothing else.
+
 haar_mc_moments, the oracle for the closed-form moments, reads the same
 amplitude stream: its samples are the exact fidelities of those states.
 
@@ -22,7 +31,9 @@ cross-average for F^2, both unbiased under shot noise.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
@@ -96,20 +107,82 @@ def _stacked_fidelities(z: np.ndarray, xt: np.ndarray) -> np.ndarray:
     return np.minimum((re * re + im * im) / (norm2 * norm2), 1.0)
 
 
-def _haar_fidelities(x: UnitaryOperator, M: int, seed: int) -> Iterator[np.ndarray]:
-    """Fidelities under x of M Haar states, one chunk at a time: state i takes
-    normals [2d i, 2d (i+1)) of substream(seed, 0) as its amplitudes. A chunk
-    holds at most _MC_BATCH amplitudes and _CHUNK_STATES states, so memory
-    does not grow with M; the chunking depends on d, the states do not."""
-    amplitudes = substream(seed, 0)
+@functools.cache
+def _worker():
+    """The one thread that draws normals ahead, started by the first run of
+    more than one chunk; concurrent.futures is imported then too, so code
+    that never simulates pays for neither."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="gatecert-draws")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has no worker thread: start its own
+    os.register_at_fork(after_in_child=_worker.cache_clear)
+
+
+def _haar_fidelities(x: UnitaryOperator, M: int, seeds: list[int]) -> Iterator[np.ndarray]:
+    """Fidelities under x of M Haar states per seed, seed after seed, one
+    chunk at a time: state i of a seed takes normals [2d i, 2d (i+1)) of
+    substream(seed, 0) as its amplitudes. A chunk holds at most _MC_BATCH
+    amplitudes and _CHUNK_STATES states, so memory does not grow with M or
+    with the seeds; the chunking depends on d, the states do not.
+
+    The calling thread makes every stream, draws the first chunk itself and
+    takes every product. While it takes chunk k's product and its reader
+    draws chunk k's binomials, _worker() draws chunk k + 1's normals with
+    standard_normal(out=) into the other of two buffers allocated here, on
+    the calling thread, once per run. Each stream is read in order, by one
+    thread at a time, so the states do not depend on the overlap."""
     d = x.dim
     xt = np.ascontiguousarray(x.matrix.T)
     chunk = max(1, min(_CHUNK_STATES, _MC_BATCH // d))
-    for start in range(0, M, chunk):
-        m = min(chunk, M - start)
-        # the (re, im) pairs are the complex amplitudes, as in sample_haar_state
-        z = amplitudes.standard_normal((m, d, 2)).view(np.complex128).reshape(m, d)
-        yield _stacked_fidelities(z, xt)
+    sizes = [min(chunk, M - start) for start in range(0, M, chunk)]
+    n_buffers = min(2, len(seeds) * len(sizes))  # a run of one chunk needs no worker
+    buffers = [np.empty((sizes[0], d), np.complex128) for _ in range(n_buffers)]
+    k, draw = 0, None
+    try:
+        for seed in seeds:
+            amplitudes = substream(seed, 0)
+            for m in sizes:
+                z = buffers[k % 2][:m]
+                # the (re, im) pairs are the complex amplitudes, as in sample_haar_state
+                if k == 0:
+                    amplitudes.standard_normal(out=z.view(np.float64))
+                else:
+                    draw = _worker().submit(amplitudes.standard_normal, out=z.view(np.float64))
+                    yield _stacked_fidelities(drawn, xt)
+                    draw.result()
+                drawn = z
+                k += 1
+        if k:
+            yield _stacked_fidelities(drawn, xt)
+    finally:
+        if draw is not None:
+            draw.exception()  # a reader that stops early still waits out the draw in flight
+
+
+def _checked_seeds(M: int, N: int, seeds) -> list[int]:
+    """The seeds of a run as a list, once M, N and every seed are checked:
+    a bad seed stops the run before any state is drawn."""
+    _check_integer("M", M, 2)
+    _check_integer("N", N, 2)
+    seeds = list(seeds)
+    for seed in seeds:
+        _check_integer("seed", seed, 0, 1 << 64)
+    return seeds
+
+
+def _pass_counts(x: UnitaryOperator, M: int, N: int, seeds: list[int]) -> Iterator[list[int]]:
+    """Each seed's M pass counts in turn: state i's count is the i-th draw of
+    substream(seed, 1), binomial at its fidelity from _haar_fidelities."""
+    fidelities = _haar_fidelities(x, M, seeds)
+    for seed in seeds:
+        shots = substream(seed, 1)
+        counts = []
+        while len(counts) < M:
+            counts += shots.binomial(N, next(fidelities)).tolist()
+        yield counts
 
 
 def simulate_protocol(x: UnitaryOperator, M: int, N: int, seed: int) -> list[int]:
@@ -120,15 +193,11 @@ def simulate_protocol(x: UnitaryOperator, M: int, N: int, seed: int) -> list[int
     as its pass count, so the first m counts do not depend on M; a chunk
     costs one normal draw, one fidelity product and one vectorised binomial
     draw. The counts equal those of the sequential two-stream loop (see the
-    module docstring).
+    module docstring). The one-seed case of run_protocols: the caller's
+    thread makes the streams and draws the binomials, the worker only the
+    normals past the first chunk.
     """
-    _check_integer("M", M, 2)
-    _check_integer("N", N, 2)
-    shots = substream(seed, 1)
-    counts = []
-    for f in _haar_fidelities(x, M, seed):
-        counts += shots.binomial(N, f).tolist()
-    return counts
+    return next(_pass_counts(x, M, N, _checked_seeds(M, N, [seed])))
 
 
 def haar_mc_moments(x: UnitaryOperator, samples: int, seed: int) -> HaarMCResult:
@@ -144,7 +213,7 @@ def haar_mc_moments(x: UnitaryOperator, samples: int, seed: int) -> HaarMCResult
     s1 = s2 = 0.0
     shift = None
     dev, sq = np.zeros(2), np.zeros(2)  # sums of (f, f^2) - shift and of their squares
-    for f in _haar_fidelities(x, samples, seed):
+    for f in _haar_fidelities(x, samples, [seed]):
         f2 = f * f
         s1 += float(f.sum())
         s2 += float(f2.sum())
@@ -200,9 +269,21 @@ def estimate_moments(counts, N: int, seed: int | None = None) -> EstimationResul
     )
 
 
+def run_protocols(x: UnitaryOperator, M: int, N: int, seeds) -> list[EstimationResult]:
+    """One protocol per seed, in order: simulate_protocol followed by
+    estimate_moments, seed recorded. X^T is taken once for the run, and the
+    worker draws each chunk's normals while the caller takes the previous
+    chunk's product and binomials, across seeds too. M, N and every seed are
+    checked before any state is drawn."""
+    seeds = _checked_seeds(M, N, seeds)
+    counts = _pass_counts(x, M, N, seeds)
+    # one seed's counts at a time: none is kept past its estimate
+    return [estimate_moments(next(counts), N, seed=seed) for seed in seeds]
+
+
 def run_protocol(x: UnitaryOperator, M: int, N: int, seed: int) -> EstimationResult:
-    """simulate_protocol followed by estimate_moments, seed recorded."""
-    return estimate_moments(simulate_protocol(x, M, N, seed), N, seed=seed)
+    """run_protocols at one seed."""
+    return run_protocols(x, M, N, [seed])[0]
 
 
 def _family_tolerance(result: EstimationResult) -> float:

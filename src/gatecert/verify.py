@@ -131,12 +131,9 @@ def check_estimator_consistency(full: bool):
     phi, m_states, n_shots = 0.3, 100, 50
     x = gates.build_cz_error(phi)
     s_true = moments.fd_from_unitary(x)
-    f_hats = np.empty(seeds)
-    d2_hats = np.empty(seeds)
-    for i in range(seeds):
-        res = estimate.run_protocol(x, m_states, n_shots, seed=i)
-        f_hats[i] = res.F_hat
-        d2_hats[i] = res.D2_hat
+    results = estimate.run_protocols(x, m_states, n_shots, range(seeds))
+    f_hats = np.array([res.F_hat for res in results])
+    d2_hats = np.array([res.D2_hat for res in results])
     pull_f = abs(f_hats.mean() - s_true.F) / (f_hats.std(ddof=1) / math.sqrt(seeds))
     d2_true = s_true.D**2
     pull_d2 = abs(d2_hats.mean() - d2_true) / (d2_hats.std(ddof=1) / math.sqrt(seeds))

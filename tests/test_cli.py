@@ -9,6 +9,7 @@ import pytest
 
 import gatecert.certify
 import gatecert.cli
+import gatecert.estimate
 import gatecert.linalg
 import gatecert.moments
 from gatecert.cli import main
@@ -120,6 +121,20 @@ def test_estimate_determinism_and_seeds(tmp_path):
     assert [int(r["seed"]) for r in rows] == [7, 8, 9]
 
 
+def test_estimate_repeats_match_one_seed_commands(tmp_path):
+    # one run of three seeds writes the rows of three one-seed commands; at
+    # 5000 states each seed spans two chunks of the cz model
+    args = "estimate --model cz --param 0.3 --samples 5000 --shots 40".split()
+    out = tmp_path / "all.csv"
+    assert main(args + ["--seed", "7", "--repeats", "3", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 4
+    for i, seed in enumerate((7, 8, 9), start=1):
+        one = tmp_path / f"{seed}.csv"
+        assert main(args + ["--seed", str(seed), "--out", str(one)]) == 0
+        assert one.read_text().splitlines() == [lines[0], lines[i]]
+
+
 def test_estimate_identity_is_exact(tmp_path):
     out = tmp_path / "id.csv"
     rc = main(
@@ -198,16 +213,24 @@ def test_estimate_usage_errors(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "extra", [["--seed", str(1 << 64)], ["--seed", str((1 << 64) - 1), "--repeats", "2"]]
+    "extra",
+    [
+        ["--seed", str(1 << 64)],
+        ["--seed", str((1 << 64) - 1), "--repeats", "2"],
+        ["--seed", str((1 << 64) - 2), "--repeats", "4"],
+    ],
 )
-def test_estimate_seed_beyond_64_bits_is_usage_error(extra, tmp_path, capsys):
+def test_estimate_seed_beyond_64_bits_is_usage_error(extra, tmp_path, capsys, monkeypatch):
     # every repeat's seed keys a 64-bit Philox word: one past the range is a
-    # usage error, not an OverflowError traceback
+    # usage error, not an OverflowError traceback, found before any seed runs
+    streams = []
+    monkeypatch.setattr(gatecert.estimate, "substream", lambda *key: streams.append(key))
     out = tmp_path / "x.csv"
     base = ["estimate", "--model", "cz", "--param", "0.3", "--samples", "4"]
     assert main(base + ["--shots", "4", "--out", str(out)] + extra) == 1
     assert "gatecert: error:" in capsys.readouterr().err
     assert not out.exists()
+    assert streams == []
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,9 +18,11 @@ from gatecert import (
     fd_from_unitary,
     haar_mc_moments,
     run_protocol,
+    run_protocols,
     simulate_protocol,
     substream,
 )
+from gatecert import estimate
 from gatecert.estimate import (
     _CHUNK_STATES,
     _MC_BATCH,
@@ -55,6 +61,14 @@ def qft8_across_chunk():
     return x, runs
 
 
+@pytest.fixture(scope="module")
+def qft8_sequential(qft8_across_chunk):
+    """The sequential loop's first c + 1 qft n = 8 pass counts at seeds 11, 12
+    and 13, in the setting of qft8_across_chunk."""
+    x, _ = qft8_across_chunk
+    return {seed: sequential_counts(x, QFT8_CHUNK + 1, 1000, seed) for seed in (11, 12, 13)}
+
+
 def test_sample_haar_state_norm():
     for i in range(20):
         psi = sample_haar_state(4, substream(1, i))
@@ -90,7 +104,7 @@ def test_simulate_determinism():
     assert a != c
 
 
-def test_simulate_protocol_matches_per_state_draws(qft8_across_chunk):
+def test_simulate_protocol_matches_per_state_draws(qft8_across_chunk, qft8_sequential):
     # the counts are exactly the sequential loop's: state i's normals are
     # [2d i, 2d (i+1)) of substream(seed, 0), its count the i-th binomial
     # draw of substream(seed, 1)
@@ -101,7 +115,7 @@ def test_simulate_protocol_matches_per_state_draws(qft8_across_chunk):
         assert simulate_protocol(x, m_states, n_shots, seed) == expected
     # past one chunk: every state of both chunks
     x, runs = qft8_across_chunk
-    assert runs[QFT8_CHUNK + 1] == sequential_counts(x, QFT8_CHUNK + 1, 1000, 11)
+    assert runs[QFT8_CHUNK + 1] == qft8_sequential[11]
 
 
 def test_haar_mc_reads_the_protocol_states():
@@ -120,7 +134,7 @@ def test_haar_mc_stderr_matches_two_pass_near_identity():
     # stderr_F 19 times too wide and stderr_E2 as 0
     for phi in (1e-5, 1e-4, 1e-2):
         x = build_cz_error(phi)
-        f = np.concatenate(list(_haar_fidelities(x, 10_000, 0)))
+        f = np.concatenate(list(_haar_fidelities(x, 10_000, [0])))
         mc = haar_mc_moments(x, 10_000, seed=0)
         for got, v in ((mc.stderr_F, f), (mc.stderr_E2, f * f)):
             want = np.std(v, ddof=1) / math.sqrt(v.size)
@@ -150,21 +164,171 @@ def test_substream_extension_stability(qft8_across_chunk):
     assert runs[c + 1][:c] == runs[c]
 
 
+def test_run_protocols_match_per_seed_runs(qft8_across_chunk, qft8_sequential):
+    # one run of three seeds reads, seed by seed, the states and counts of
+    # three one-seed runs and of the sequential loop: around a chunk boundary
+    # at d = 256, and at d = 4 past three chunks, where each buffer takes
+    # several chunks of one seed
+    seeds, n_shots = tuple(qft8_sequential), 1000
+    x, _ = qft8_across_chunk
+    c = QFT8_CHUNK
+    for m_states in (c - 1, c, c + 1):
+        got = run_protocols(x, m_states, n_shots, seeds)
+        assert got == [run_protocol(x, m_states, n_shots, seed) for seed in seeds]
+        counts = [qft8_sequential[seed][:m_states] for seed in seeds]
+        assert got == [estimate_moments(k, n_shots, seed=seed) for seed, k in zip(seeds, counts)]
+    x = build_cz_error(0.3)
+    m_states = 3 * chunk_states(x.dim) + 1
+    got = run_protocols(x, m_states, n_shots, seeds)
+    assert got == [run_protocol(x, m_states, n_shots, seed) for seed in seeds]
+    for seed, result in zip(seeds, got):
+        counts = sequential_counts(x, m_states, n_shots, seed)
+        assert result == estimate_moments(counts, n_shots, seed=seed)
+
+
+class _RecordedStream:
+    """A substream that notes the thread of each call it takes."""
+
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls.append(("standard_normal", threading.get_ident()))
+        return self.rng.standard_normal(*args, **kwargs)
+
+    def binomial(self, *args, **kwargs):
+        self.calls.append(("binomial", threading.get_ident()))
+        return self.rng.binomial(*args, **kwargs)
+
+
+def test_run_protocols_keeps_its_calls_on_the_calling_thread(monkeypatch):
+    # the streams, the binomials and the estimates are the caller's; the
+    # worker only draws normals, every chunk's but the first
+    x = build_cz_error(0.3)
+    m_states, seeds = chunk_states(x.dim) + 1, [3, 4]
+    want = run_protocols(x, m_states, 100, seeds)
+    calls = []
+    real_substream, real_estimate = estimate.substream, estimate.estimate_moments
+
+    def recorded_substream(seed, index):
+        calls.append(("substream", threading.get_ident()))
+        return _RecordedStream(real_substream(seed, index), calls)
+
+    def recorded_estimate(*args, **kwargs):
+        calls.append(("estimate_moments", threading.get_ident()))
+        return real_estimate(*args, **kwargs)
+
+    monkeypatch.setattr(estimate, "substream", recorded_substream)
+    monkeypatch.setattr(estimate, "estimate_moments", recorded_estimate)
+    assert run_protocols(x, m_states, 100, seeds) == want
+    caller = threading.get_ident()
+    normals = [thread for name, thread in calls if name == "standard_normal"]
+    assert len(normals) == 4 and normals[0] == caller
+    assert all(thread != caller for thread in normals[1:])
+    others = [(name, thread) for name, thread in calls if name != "standard_normal"]
+    assert sorted({name for name, _ in others}) == ["binomial", "estimate_moments", "substream"]
+    assert [name for name, _ in others].count("substream") == 2 * len(seeds)
+    assert all(thread == caller for _, thread in others)
+
+
+def test_a_failed_draw_on_the_worker_reaches_the_caller(monkeypatch):
+    caller = threading.get_ident()
+    real_substream = estimate.substream
+
+    class Failing(_RecordedStream):
+        def standard_normal(self, *args, **kwargs):
+            if threading.get_ident() != caller:
+                raise RuntimeError("draw failed on the worker")
+            return self.rng.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(estimate, "substream", lambda *key: Failing(real_substream(*key), []))
+    x = build_cz_error(0.3)
+    with pytest.raises(RuntimeError, match="draw failed on the worker"):
+        run_protocols(x, 10, 100, [1, 2])
+    # the worker survives the failure
+    monkeypatch.setattr(estimate, "substream", real_substream)
+    assert run_protocols(x, 10, 100, [1, 2]) == [run_protocol(x, 10, 100, s) for s in (1, 2)]
+
+
+def test_a_reader_that_stops_early_waits_out_the_draw(monkeypatch):
+    # closing the chunk generator after its first chunk returns only once the
+    # worker has finished the second chunk's draw, so no draw outlives a run
+    caller = threading.get_ident()
+    finished = []
+    real_substream = estimate.substream
+
+    class Slow(_RecordedStream):
+        def standard_normal(self, *args, **kwargs):
+            if threading.get_ident() != caller:
+                time.sleep(0.05)
+            self.rng.standard_normal(*args, **kwargs)
+            finished.append(threading.get_ident())
+
+    monkeypatch.setattr(estimate, "substream", lambda *key: Slow(real_substream(*key), []))
+    fidelities = _haar_fidelities(build_cz_error(0.3), 10, [1, 2])
+    next(fidelities)
+    fidelities.close()
+    assert len(finished) == 2 and finished[1] != caller
+
+
+def test_run_protocols_checks_every_seed_before_drawing(monkeypatch):
+    # a bad seed anywhere in the list stops the run before its first stream
+    streams = []
+    monkeypatch.setattr(estimate, "substream", lambda *key: streams.append(key))
+    x = build_cz_error(0.1)
+    top = (1 << 64) - 1
+    for M, N, seeds in (
+        (10, 100, [top - 1, top, top + 1]),
+        (10, 100, [1, 2, -1]),
+        (10, 100, [1, 2, 2.5]),
+        (1, 100, [1, 2]),
+        (10, 1, [1, 2]),
+    ):
+        with pytest.raises(ValueError):
+            run_protocols(x, M, N, seeds)
+    assert streams == []
+    assert run_protocols(x, 10, 100, []) == []
+
+
+def _child_runs(x, expected):
+    os._exit(0 if run_protocols(x, 10, 100, [1, 2]) == expected else 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_starts_its_own_worker():
+    # a forked child inherits the parent's executor but not its thread
+    x = build_cz_error(0.3)
+    expected = run_protocols(x, 10, 100, [1, 2])  # the worker is running now
+    child = multiprocessing.get_context("fork").Process(target=_child_runs, args=(x, expected))
+    child.start()
+    child.join(60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
 @pytest.mark.parametrize("model,n", [("qft", 10), ("qft", 8), ("cz", None)])
 def test_simulate_protocol_memory_is_flat_in_M(model, n):
     # four chunks peak as high as two: at d = 1024 a chunk is bounded by its
     # amplitudes, at d = 4 by _CHUNK_STATES
     x = build_model_error(model, 0.03, n)
     c = chunk_states(x.dim)
-    peaks = {}
-    for m_states in (c, 2 * c, 4 * c):
+
+    def peak(run):
         tracemalloc.start()
         try:
-            simulate_protocol(x, m_states, 100, 0)
-            peaks[m_states] = tracemalloc.get_traced_memory()[1]
+            run()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    peaks = {m: peak(lambda: simulate_protocol(x, m, 100, 0)) for m in (c, 2 * c, 4 * c)}
     assert abs(peaks[4 * c] - peaks[2 * c]) < 0.1 * peaks[2 * c]
+    # nor with the seeds: two seeds of one chunk each hold what one seed of
+    # two chunks holds, the two buffers the draws alternate between
+    two_seeds = peak(lambda: run_protocols(x, c, 100, [0, 1]))
+    assert abs(two_seeds - peaks[2 * c]) < 0.1 * peaks[2 * c]
     if x.dim >= 256:
         # one chunk holds its amplitudes, the product z X^T and X^T itself,
         # no normalized or conjugated copy of the amplitudes

@@ -10,16 +10,19 @@ only options that every version of the CLI accepts, with their defaults.
 
 The matrix: `sweep` for cz, toffoli and qft n = 3, 4, 6 on a 40-step log grid
 from 1e-7 to 3, plus qft n = 10 at two points; `moments` text and `--csv`
-output at five points; `estimate --repeats 20` at five points. No CLI output
-reaches the tightness witness or the (F, D)-only three-point search, so one
-more file, `certify.csv`, holds `certificate_bundle(d, F, D, u=1.0)`'s `b_fd`,
-`c_value` and `flags`, and the diamond distance of `tightness_witness(F, D,
-d)` or `ValueError`, on fixed inputs that reach every branch of c(F, D): the
-relaxation at even and odd d, two-point families (CZ up to phi = pi, d = 5
-and 8), the three-point search up to d = 24, the dim cap, the
-relaxation-root fallback, clamped and vacuous data. The witness exists on
-the relaxation at even d and on the two-point and three-point branches;
-every other row reads `ValueError`.
+output at five points; `estimate --repeats 20` at seven points. Each
+estimate command runs its 20 seeds as one run, so its normals are drawn a
+chunk ahead across seeds; two points add what the other five lack, d = 256
+(qft n = 8) and chunks within a seed (cz at 10000 states, three per seed).
+No CLI output reaches the tightness witness or the (F, D)-only three-point
+search, so one more file, `certify.csv`, holds `certificate_bundle(d, F, D,
+u=1.0)`'s `b_fd`, `c_value` and `flags`, and the diamond distance of
+`tightness_witness(F, D, d)` or `ValueError`, on fixed inputs that reach
+every branch of c(F, D): the relaxation at even and odd d, two-point
+families (CZ up to phi = pi, d = 5 and 8), the three-point search up to
+d = 24, the dim cap, the relaxation-root fallback, clamped and vacuous data.
+The witness exists on the relaxation at even d and on the two-point and
+three-point branches; every other row reads `ValueError`.
 """
 
 from __future__ import annotations
@@ -59,6 +62,8 @@ ESTIMATES = {
     "cz_0.05": ["--model", "cz", "--param", "0.05"],
     "cz_0.3": ["--model", "cz", "--param", "0.3"],
     "qft3_0.05": ["--model", "qft", "--n", "3", "--param", "0.05"],
+    "qft8_0.03": ["--model", "qft", "--n", "8", "--param", "0.03"],
+    "cz_0.3_M10000": ["--model", "cz", "--param", "0.3", "--samples", "10000"],
 }
 
 
