@@ -15,11 +15,15 @@ states at d = 256 and 6.1e-15 over 1000 states at d = 1024.
 run_protocols runs one protocol per seed as one run; simulate_protocol,
 run_protocol and haar_mc_moments are its one-seed case. The calling thread
 makes every stream, takes every product and draws every binomial and
-estimate. One module-level worker thread, started by the first run of more
-than one chunk, draws each chunk's normals while the caller takes the
-previous chunk's product and binomials, into one of two buffers the caller
-allocates per run. Every draw keeps its place in its stream, so the overlap
-changes when the states are drawn and nothing else.
+estimate. One module-level worker thread, started by the first run that
+draws ahead, draws each chunk's normals while the caller takes the previous
+chunk's product and binomials, into one of two buffers the caller allocates
+per run. A run of more than one chunk draws ahead unless its chunks have
+fewer than _DRAW_AHEAD_NORMALS normals, which cost less to draw than to hand
+over, or two buffers would hold more than _MC_BATCH amplitudes (d = 1024 at
+more than 2048 states); then the caller draws every chunk into one buffer.
+Every draw keeps its place in its stream, so who draws a state and when
+changes nothing else.
 
 haar_mc_moments, the oracle for the closed-form moments, reads the same
 amplitude stream: its samples are the exact fidelities of those states.
@@ -46,10 +50,16 @@ from .linalg import UnitaryOperator
 # reference loop under this name
 from .moments import _check_integer, single_fidelity  # noqa: F401
 
-_MC_BATCH = 1 << 22  # amplitudes per chunk at most, keeps memory flat at large d
+# amplitudes in flight at most, in one chunk or in the two buffers of a run
+# that draws ahead; keeps memory flat at large d
+_MC_BATCH = 1 << 22
 # states per chunk at most: _MC_BATCH // d alone is a million states at d = 4,
 # so the chunk and its product's temporaries would grow with M up to that size
 _CHUNK_STATES = 4096
+# normals per chunk from which a worker draws them ahead: below it, handing a
+# chunk to the worker and back costs more than the overlap saves (measured on
+# a 2-vCPU host with one BLAS thread)
+_DRAW_AHEAD_NORMALS = 4000
 
 
 @dataclass(frozen=True)
@@ -109,9 +119,10 @@ def _stacked_fidelities(z: np.ndarray, xt: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _worker():
-    """The one thread that draws normals ahead, started by the first run of
-    more than one chunk; concurrent.futures is imported then too, so code
-    that never simulates pays for neither."""
+    """The one thread that draws normals ahead, started by the first run
+    that draws ahead; concurrent.futures is imported then too, so code that
+    never simulates pays for neither. A thread per run would cost about
+    0.3 ms per run (2-vCPU host), a tenth of a Toffoli estimate command."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="gatecert-draws")
@@ -129,30 +140,38 @@ def _haar_fidelities(x: UnitaryOperator, M: int, seeds: list[int]) -> Iterator[n
     with the seeds; the chunking depends on d, the states do not.
 
     The calling thread makes every stream, draws the first chunk itself and
-    takes every product. While it takes chunk k's product and its reader
-    draws chunk k's binomials, _worker() draws chunk k + 1's normals with
-    standard_normal(out=) into the other of two buffers allocated here, on
-    the calling thread, once per run. Each stream is read in order, by one
-    thread at a time, so the states do not depend on the overlap."""
+    takes every product. In a run of more than one chunk, _worker() draws
+    chunk k + 1's normals with standard_normal(out=) into the other of two
+    buffers allocated here, on the calling thread, while the caller takes
+    chunk k's product and its reader draws chunk k's binomials. It does so
+    only if a chunk has _DRAW_AHEAD_NORMALS normals or more, as smaller
+    chunks cost less to draw than to hand over, and if two buffers hold at
+    most _MC_BATCH amplitudes; otherwise the caller draws every chunk into
+    one buffer. Each stream is read in order, by one thread at a time, so
+    the states do not depend on who draws them."""
     d = x.dim
     xt = np.ascontiguousarray(x.matrix.T)
     chunk = max(1, min(_CHUNK_STATES, _MC_BATCH // d))
     sizes = [min(chunk, M - start) for start in range(0, M, chunk)]
-    n_buffers = min(2, len(seeds) * len(sizes))  # a run of one chunk needs no worker
-    buffers = [np.empty((sizes[0], d), np.complex128) for _ in range(n_buffers)]
+    per_chunk = 2 * d * sizes[0]  # normals in the largest chunk, amplitudes in two buffers
+    ahead = len(seeds) * len(sizes) > 1 and _DRAW_AHEAD_NORMALS <= per_chunk <= _MC_BATCH
+    buffers = [np.empty((sizes[0], d), np.complex128) for _ in range(1 + ahead)]
     k, draw = 0, None
     try:
         for seed in seeds:
             amplitudes = substream(seed, 0)
             for m in sizes:
-                z = buffers[k % 2][:m]
+                z = buffers[k % len(buffers)][:m]
                 # the (re, im) pairs are the complex amplitudes, as in sample_haar_state
-                if k == 0:
-                    amplitudes.standard_normal(out=z.view(np.float64))
-                else:
-                    draw = _worker().submit(amplitudes.standard_normal, out=z.view(np.float64))
+                normals = z.view(np.float64)
+                if k and ahead:
+                    draw = _worker().submit(amplitudes.standard_normal, out=normals)
                     yield _stacked_fidelities(drawn, xt)
                     draw.result()
+                else:
+                    if k:  # one buffer: the previous chunk's product comes first
+                        yield _stacked_fidelities(drawn, xt)
+                    amplitudes.standard_normal(out=normals)
                 drawn = z
                 k += 1
         if k:
@@ -194,8 +213,8 @@ def simulate_protocol(x: UnitaryOperator, M: int, N: int, seed: int) -> list[int
     costs one normal draw, one fidelity product and one vectorised binomial
     draw. The counts equal those of the sequential two-stream loop (see the
     module docstring). The one-seed case of run_protocols: the caller's
-    thread makes the streams and draws the binomials, the worker only the
-    normals past the first chunk.
+    thread makes the streams and draws the binomials; past the first chunk,
+    a worker may draw the normals (see _haar_fidelities).
     """
     return next(_pass_counts(x, M, N, _checked_seeds(M, N, [seed])))
 
@@ -271,10 +290,10 @@ def estimate_moments(counts, N: int, seed: int | None = None) -> EstimationResul
 
 def run_protocols(x: UnitaryOperator, M: int, N: int, seeds) -> list[EstimationResult]:
     """One protocol per seed, in order: simulate_protocol followed by
-    estimate_moments, seed recorded. X^T is taken once for the run, and the
-    worker draws each chunk's normals while the caller takes the previous
-    chunk's product and binomials, across seeds too. M, N and every seed are
-    checked before any state is drawn."""
+    estimate_moments, seed recorded. X^T is taken once for the run, and a
+    worker may draw each chunk's normals while the caller takes the previous
+    chunk's product and binomials, across seeds too (see _haar_fidelities).
+    M, N and every seed are checked before any state is drawn."""
     seeds = _checked_seeds(M, N, seeds)
     counts = _pass_counts(x, M, N, seeds)
     # one seed's counts at a time: none is kept past its estimate

@@ -25,6 +25,7 @@ from gatecert import (
 from gatecert import estimate
 from gatecert.estimate import (
     _CHUNK_STATES,
+    _DRAW_AHEAD_NORMALS,
     _MC_BATCH,
     _haar_fidelities,
     _stacked_fidelities,
@@ -164,11 +165,11 @@ def test_substream_extension_stability(qft8_across_chunk):
     assert runs[c + 1][:c] == runs[c]
 
 
-def test_run_protocols_match_per_seed_runs(qft8_across_chunk, qft8_sequential):
+def test_run_protocols_match_per_seed_runs(qft8_across_chunk, qft8_sequential, monkeypatch):
     # one run of three seeds reads, seed by seed, the states and counts of
     # three one-seed runs and of the sequential loop: around a chunk boundary
     # at d = 256, and at d = 4 past three chunks, where each buffer takes
-    # several chunks of one seed
+    # several chunks of one seed, drawn ahead or all on the caller
     seeds, n_shots = tuple(qft8_sequential), 1000
     x, _ = qft8_across_chunk
     c = QFT8_CHUNK
@@ -179,11 +180,14 @@ def test_run_protocols_match_per_seed_runs(qft8_across_chunk, qft8_sequential):
         assert got == [estimate_moments(k, n_shots, seed=seed) for seed, k in zip(seeds, counts)]
     x = build_cz_error(0.3)
     m_states = 3 * chunk_states(x.dim) + 1
-    got = run_protocols(x, m_states, n_shots, seeds)
-    assert got == [run_protocol(x, m_states, n_shots, seed) for seed in seeds]
-    for seed, result in zip(seeds, got):
-        counts = sequential_counts(x, m_states, n_shots, seed)
-        assert result == estimate_moments(counts, n_shots, seed=seed)
+    want = [
+        estimate_moments(sequential_counts(x, m_states, n_shots, seed), n_shots, seed=seed)
+        for seed in seeds
+    ]
+    assert run_protocols(x, m_states, n_shots, seeds) == want
+    assert [run_protocol(x, m_states, n_shots, seed) for seed in seeds] == want
+    monkeypatch.setattr(estimate, "_DRAW_AHEAD_NORMALS", _MC_BATCH + 1)
+    assert run_protocols(x, m_states, n_shots, seeds) == want
 
 
 class _RecordedStream:
@@ -231,6 +235,32 @@ def test_run_protocols_keeps_its_calls_on_the_calling_thread(monkeypatch):
     assert all(thread == caller for _, thread in others)
 
 
+def test_small_chunks_are_drawn_on_the_calling_thread(monkeypatch):
+    # below _DRAW_AHEAD_NORMALS normals a chunk costs less to draw than to
+    # hand over, so a run of such chunks hands none to the worker
+    x = build_cz_error(0.3)
+    m_states = _DRAW_AHEAD_NORMALS // (2 * x.dim) - 1
+    calls = []
+    real_substream = estimate.substream
+
+    def recorded(*key):
+        return _RecordedStream(real_substream(*key), calls)
+
+    monkeypatch.setattr(estimate, "substream", recorded)
+    threads = threading.active_count()
+    got = run_protocols(x, m_states, 100, [3, 4, 5])
+    monkeypatch.setattr(estimate, "substream", real_substream)
+    assert got == [run_protocol(x, m_states, 100, seed) for seed in (3, 4, 5)]
+    caller = threading.get_ident()
+    assert [name for name, _ in calls].count("standard_normal") == 3
+    assert all(thread == caller for _, thread in calls)
+    assert threading.active_count() == threads
+
+
+# the fewest cz states (d = 4) per chunk that two seeds draw ahead
+AHEAD_STATES = _DRAW_AHEAD_NORMALS // (2 * 4)
+
+
 def test_a_failed_draw_on_the_worker_reaches_the_caller(monkeypatch):
     caller = threading.get_ident()
     real_substream = estimate.substream
@@ -244,10 +274,11 @@ def test_a_failed_draw_on_the_worker_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(estimate, "substream", lambda *key: Failing(real_substream(*key), []))
     x = build_cz_error(0.3)
     with pytest.raises(RuntimeError, match="draw failed on the worker"):
-        run_protocols(x, 10, 100, [1, 2])
+        run_protocols(x, AHEAD_STATES, 100, [1, 2])
     # the worker survives the failure
     monkeypatch.setattr(estimate, "substream", real_substream)
-    assert run_protocols(x, 10, 100, [1, 2]) == [run_protocol(x, 10, 100, s) for s in (1, 2)]
+    want = [run_protocol(x, AHEAD_STATES, 100, s) for s in (1, 2)]
+    assert run_protocols(x, AHEAD_STATES, 100, [1, 2]) == want
 
 
 def test_a_reader_that_stops_early_waits_out_the_draw(monkeypatch):
@@ -265,7 +296,7 @@ def test_a_reader_that_stops_early_waits_out_the_draw(monkeypatch):
             finished.append(threading.get_ident())
 
     monkeypatch.setattr(estimate, "substream", lambda *key: Slow(real_substream(*key), []))
-    fidelities = _haar_fidelities(build_cz_error(0.3), 10, [1, 2])
+    fidelities = _haar_fidelities(build_cz_error(0.3), AHEAD_STATES, [1, 2])
     next(fidelities)
     fidelities.close()
     assert len(finished) == 2 and finished[1] != caller
@@ -291,14 +322,14 @@ def test_run_protocols_checks_every_seed_before_drawing(monkeypatch):
 
 
 def _child_runs(x, expected):
-    os._exit(0 if run_protocols(x, 10, 100, [1, 2]) == expected else 1)
+    os._exit(0 if run_protocols(x, AHEAD_STATES, 100, [1, 2]) == expected else 1)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_forked_child_starts_its_own_worker():
     # a forked child inherits the parent's executor but not its thread
     x = build_cz_error(0.3)
-    expected = run_protocols(x, 10, 100, [1, 2])  # the worker is running now
+    expected = run_protocols(x, AHEAD_STATES, 100, [1, 2])  # the worker is running now
     child = multiprocessing.get_context("fork").Process(target=_child_runs, args=(x, expected))
     child.start()
     child.join(60)
@@ -325,10 +356,15 @@ def test_simulate_protocol_memory_is_flat_in_M(model, n):
 
     peaks = {m: peak(lambda: simulate_protocol(x, m, 100, 0)) for m in (c, 2 * c, 4 * c)}
     assert abs(peaks[4 * c] - peaks[2 * c]) < 0.1 * peaks[2 * c]
-    # nor with the seeds: two seeds of one chunk each hold what one seed of
-    # two chunks holds, the two buffers the draws alternate between
-    two_seeds = peak(lambda: run_protocols(x, c, 100, [0, 1]))
-    assert abs(two_seeds - peaks[2 * c]) < 0.1 * peaks[2 * c]
+    if 2 * x.dim * c <= _MC_BATCH:
+        # nor with the seeds: two seeds of one chunk each hold what one seed
+        # of two chunks holds, the two buffers the draws alternate between
+        two_seeds = peak(lambda: run_protocols(x, c, 100, [0, 1]))
+        assert abs(two_seeds - peaks[2 * c]) < 0.1 * peaks[2 * c]
+    else:
+        # two buffers would hold more than _MC_BATCH amplitudes, so the
+        # caller draws every chunk into one: a long run peaks as one chunk
+        assert peaks[2 * c] < 2.5 * c * x.dim * 16
     if x.dim >= 256:
         # one chunk holds its amplitudes, the product z X^T and X^T itself,
         # no normalized or conjugated copy of the amplitudes

@@ -10,10 +10,12 @@ only options that every version of the CLI accepts, with their defaults.
 
 The matrix: `sweep` for cz, toffoli and qft n = 3, 4, 6 on a 40-step log grid
 from 1e-7 to 3, plus qft n = 10 at two points; `moments` text and `--csv`
-output at five points; `estimate --repeats 20` at seven points. Each
-estimate command runs its 20 seeds as one run, so its normals are drawn a
-chunk ahead across seeds; two points add what the other five lack, d = 256
-(qft n = 8) and chunks within a seed (cz at 10000 states, three per seed).
+output at five points; `estimate --repeats 20` at eight points. Each
+estimate command runs its 20 seeds as one run. At the default 500 states
+its normals are drawn a chunk ahead across seeds; two points add what the
+other five lack, d = 256 (qft n = 8) and chunks within a seed (cz at 10000
+states, three per seed), and cz at 100 states, too few normals per chunk
+to hand to the worker, draws every chunk on the caller into one buffer.
 No CLI output reaches the tightness witness or the (F, D)-only three-point
 search, so one more file, `certify.csv`, holds `certificate_bundle(d, F, D,
 u=1.0)`'s `b_fd`, `c_value` and `flags`, and the diamond distance of
@@ -64,6 +66,7 @@ ESTIMATES = {
     "qft3_0.05": ["--model", "qft", "--n", "3", "--param", "0.05"],
     "qft8_0.03": ["--model", "qft", "--n", "8", "--param", "0.03"],
     "cz_0.3_M10000": ["--model", "cz", "--param", "0.3", "--samples", "10000"],
+    "cz_0.3_M100": ["--model", "cz", "--param", "0.3", "--samples", "100"],
 }
 
 
