@@ -91,7 +91,7 @@ def cmd_sweep(args) -> int:
     n = d.bit_length() - 1
     params = [float(p) for p in _grid(args.min, args.max, args.steps, args.log_grid)]
     lines = [SWEEP_COLUMNS]
-    for param, x in zip(params, model_errors(args.model, params, n)):
+    for param, x in zip(params, model_errors(args.model, params, args.n)):
         s = fd_from_unitary(x)
         bundle = certificate_bundle(d, s.F, s.D, u=1.0, x=x)
         lines.append(_sweep_row(args.model, n, param, s, bundle))
@@ -108,7 +108,7 @@ def cmd_estimate(args) -> int:
         raise _UsageError("--seed must be nonnegative")
     d = model_dimension(args.model, args.n)
     n = d.bit_length() - 1
-    x = build_model_error(args.model, args.param, n)
+    x = build_model_error(args.model, args.param, args.n)
     seeds = range(args.seed, args.seed + args.repeats)
     lines = [ESTIMATE_COLUMNS]
     for result in run_protocols(x, args.samples, args.shots, seeds):
@@ -138,7 +138,7 @@ def cmd_estimate(args) -> int:
 def cmd_moments(args) -> int:
     d = model_dimension(args.model, args.n)
     n = d.bit_length() - 1
-    x = build_model_error(args.model, args.param, n)
+    x = build_model_error(args.model, args.param, args.n)
     s = fd_from_unitary(x)
     pq = pq_from_fd(s.F, s.D, d)
     bundle = certificate_bundle(d, s.F, s.D, u=1.0, x=x)
@@ -202,7 +202,7 @@ def _parser() -> _Parser:
 
     est = sub.add_parser("estimate", help="simulate the randomized estimation protocol")
     est.add_argument("--model", required=True, choices=("cz", "toffoli", "qft"))
-    est.add_argument("--n", type=int, default=None)
+    est.add_argument("--n", type=int, default=None, help="qubit count (qft only)")
     est.add_argument("--param", type=float, required=True)
     est.add_argument("--samples", type=int, default=500, help="random input states M")
     est.add_argument("--shots", type=int, default=1000, help="shots per state N")
@@ -213,7 +213,7 @@ def _parser() -> _Parser:
 
     mom = sub.add_parser("moments", help="moments and certificates at one parameter point")
     mom.add_argument("--model", required=True, choices=("cz", "toffoli", "qft"))
-    mom.add_argument("--n", type=int, default=None)
+    mom.add_argument("--n", type=int, default=None, help="qubit count (qft only)")
     mom.add_argument("--param", type=float, required=True)
     mom.add_argument("--csv", action="store_true", help="emit a machine-readable CSV row")
     mom.set_defaults(func=cmd_moments)

@@ -14,16 +14,19 @@ states at d = 256 and 6.1e-15 over 1000 states at d = 1024.
 
 run_protocols runs one protocol per seed as one run; simulate_protocol,
 run_protocol and haar_mc_moments are its one-seed case. The calling thread
-makes every stream, takes every product and draws every binomial and
-estimate. One module-level worker thread, started by the first run that
-draws ahead, draws each chunk's normals while the caller takes the previous
-chunk's product and binomials, into one of two buffers the caller allocates
-per run. A run of more than one chunk draws ahead unless its chunks have
-fewer than _DRAW_AHEAD_NORMALS normals, which cost less to draw than to hand
-over, or two buffers would hold more than _MC_BATCH amplitudes (d = 1024 at
-more than 2048 states); then the caller draws every chunk into one buffer.
-Every draw keeps its place in its stream, so who draws a state and when
-changes nothing else.
+makes every stream, allocates every buffer once per run, and draws every
+binomial and estimate. One module-level worker thread, started by the
+first run that needs it, takes a share of the draws and products. A run
+of two or more seeds is split by seed: the caller draws and multiplies
+the first half of the seeds, the worker the rest, and the caller then
+takes back the worker's fidelities. A run of one seed and more than one
+chunk has the worker draw each chunk's normals while the caller takes the
+previous chunk's product and binomials. A run whose chunks have fewer than
+_WORKER_NORMALS normals, which cost less to run on the caller than to
+share, stays on the caller, and so does a one-seed run whose two buffers
+would hold more than _MC_BATCH amplitudes (d = 1024 at more than 2048
+states). Every draw keeps its place in its stream, so who draws a state
+and when changes nothing else.
 
 haar_mc_moments, the oracle for the closed-form moments, reads the same
 amplitude stream: its samples are the exact fidelities of those states.
@@ -50,16 +53,17 @@ from .linalg import UnitaryOperator
 # reference loop under this name
 from .moments import _check_integer, single_fidelity  # noqa: F401
 
-# amplitudes in flight at most, in one chunk or in the two buffers of a run
-# that draws ahead; keeps memory flat at large d
+# amplitudes in flight at most, in one chunk or in the amplitude buffers of a
+# run that draws ahead or is split; keeps memory flat at large d
 _MC_BATCH = 1 << 22
 # states per chunk at most: _MC_BATCH // d alone is a million states at d = 4,
 # so the chunk and its product's temporaries would grow with M up to that size
 _CHUNK_STATES = 4096
-# normals per chunk from which a worker draws them ahead: below it, handing a
-# chunk to the worker and back costs more than the overlap saves (measured on
-# a 2-vCPU host with one BLAS thread)
-_DRAW_AHEAD_NORMALS = 4000
+# normals per chunk from which the worker takes part in a run, drawing one
+# seed's chunks ahead or taking the later half of the seeds: below it, the
+# worker's share costs more to hand over and to interleave under the GIL than
+# it saves (measured on a 2-vCPU host with one BLAS thread)
+_WORKER_NORMALS = 4000
 
 
 @dataclass(frozen=True)
@@ -104,11 +108,11 @@ def sample_haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def _stacked_fidelities(z: np.ndarray, xt: np.ndarray) -> np.ndarray:
+def _stacked_fidelities(z: np.ndarray, xt: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Survival probabilities |z^dag X z|^2 / |z|^4 of the rows of z, taken as
-    unnormalized states, from one product w = z X^T (xt = X^T, C-contiguous)
-    and sums over float views of z and w."""
-    w = z @ xt
+    unnormalized states, from one product w = z X^T (xt = X^T, C-contiguous),
+    written into w, and sums over float views of z and w."""
+    np.matmul(z, xt, out=w)
     zf, wf = z.view(np.float64), w.view(np.float64)  # (re, im) interleaved
     re = np.einsum("ij,ij->i", zf, wf)
     im = np.einsum("ij,ij->i", zf[:, ::2], wf[:, 1::2])
@@ -119,10 +123,11 @@ def _stacked_fidelities(z: np.ndarray, xt: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _worker():
-    """The one thread that draws normals ahead, started by the first run
-    that draws ahead; concurrent.futures is imported then too, so code that
-    never simulates pays for neither. A thread per run would cost about
-    0.3 ms per run (2-vCPU host), a tenth of a Toffoli estimate command."""
+    """The one thread that draws normals ahead and takes the later seeds of
+    a split run, started by the first run that needs it; concurrent.futures
+    is imported then too, so code that never simulates pays for neither. A
+    thread per run would cost about 0.3 ms per run (2-vCPU host), a tenth of
+    a Toffoli estimate command."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="gatecert-draws")
@@ -132,53 +137,77 @@ if hasattr(os, "register_at_fork"):  # a forked child has no worker thread: star
     os.register_at_fork(after_in_child=_worker.cache_clear)
 
 
-def _haar_fidelities(x: UnitaryOperator, M: int, seeds: list[int]) -> Iterator[np.ndarray]:
-    """Fidelities under x of M Haar states per seed, seed after seed, one
-    chunk at a time: state i of a seed takes normals [2d i, 2d (i+1)) of
-    substream(seed, 0) as its amplitudes. A chunk holds at most _MC_BATCH
-    amplitudes and _CHUNK_STATES states, so memory does not grow with M or
-    with the seeds; the chunking depends on d, the states do not.
+def _lane(xt: np.ndarray, sizes: list[int], streams, z: np.ndarray, w: np.ndarray):
+    """Fidelity chunks of each amplitude stream in turn, in chunks of the
+    given sizes: each is drawn into z, then multiplied into w."""
+    for amplitudes in streams:
+        for m in sizes:
+            # the (re, im) pairs are the complex amplitudes, as in sample_haar_state
+            amplitudes.standard_normal(out=z[:m].view(np.float64))
+            yield _stacked_fidelities(z[:m], xt, w[:m])
 
-    The calling thread makes every stream, draws the first chunk itself and
-    takes every product. In a run of more than one chunk, _worker() draws
-    chunk k + 1's normals with standard_normal(out=) into the other of two
-    buffers allocated here, on the calling thread, while the caller takes
-    chunk k's product and its reader draws chunk k's binomials. It does so
-    only if a chunk has _DRAW_AHEAD_NORMALS normals or more, as smaller
-    chunks cost less to draw than to hand over, and if two buffers hold at
-    most _MC_BATCH amplitudes; otherwise the caller draws every chunk into
-    one buffer. Each stream is read in order, by one thread at a time, so
-    the states do not depend on who draws them."""
-    d = x.dim
-    xt = np.ascontiguousarray(x.matrix.T)
-    chunk = max(1, min(_CHUNK_STATES, _MC_BATCH // d))
-    sizes = [min(chunk, M - start) for start in range(0, M, chunk)]
-    per_chunk = 2 * d * sizes[0]  # normals in the largest chunk, amplitudes in two buffers
-    ahead = len(seeds) * len(sizes) > 1 and _DRAW_AHEAD_NORMALS <= per_chunk <= _MC_BATCH
-    buffers = [np.empty((sizes[0], d), np.complex128) for _ in range(1 + ahead)]
-    k, draw = 0, None
+
+def _drawn_ahead(xt: np.ndarray, sizes: list[int], amplitudes, zs, w: np.ndarray):
+    """One stream's fidelity chunks, as _lane's, with chunk k + 1 drawn by
+    _worker() into the other buffer of zs while the caller multiplies chunk k."""
+    z, draw = zs[0][: sizes[0]], None
+    amplitudes.standard_normal(out=z.view(np.float64))
     try:
-        for seed in seeds:
-            amplitudes = substream(seed, 0)
-            for m in sizes:
-                z = buffers[k % len(buffers)][:m]
-                # the (re, im) pairs are the complex amplitudes, as in sample_haar_state
-                normals = z.view(np.float64)
-                if k and ahead:
-                    draw = _worker().submit(amplitudes.standard_normal, out=normals)
-                    yield _stacked_fidelities(drawn, xt)
-                    draw.result()
-                else:
-                    if k:  # one buffer: the previous chunk's product comes first
-                        yield _stacked_fidelities(drawn, xt)
-                    amplitudes.standard_normal(out=normals)
-                drawn = z
-                k += 1
-        if k:
-            yield _stacked_fidelities(drawn, xt)
+        for k, m in enumerate(sizes[1:], 1):
+            drawn, z = z, zs[k % 2][:m]
+            draw = _worker().submit(amplitudes.standard_normal, out=z.view(np.float64))
+            yield _stacked_fidelities(drawn, xt, w[: len(drawn)])
+            draw.result()
+        yield _stacked_fidelities(z, xt, w[: len(z)])
     finally:
         if draw is not None:
             draw.exception()  # a reader that stops early still waits out the draw in flight
+
+
+def _haar_fidelities(x: UnitaryOperator, M: int, seeds: list[int]) -> Iterator[np.ndarray]:
+    """Fidelities under x of M Haar states per seed, seed after seed, one
+    chunk at a time: state i of a seed takes normals [2d i, 2d (i+1)) of
+    substream(seed, 0) as its amplitudes. A run's amplitude buffers hold at
+    most _MC_BATCH amplitudes and a chunk at most _CHUNK_STATES states, so
+    the buffers do not grow with M or with the seeds; the chunking depends
+    on d and on the run's path, the states do not.
+
+    The calling thread makes every stream and allocates every buffer, once
+    per run: one amplitude buffer and one product output per lane. If a
+    chunk has fewer than _WORKER_NORMALS normals, the run is one lane on
+    the caller. Otherwise a run of two or more seeds is split: _worker()
+    draws and multiplies the later half of the seeds in a second lane,
+    while the caller does the first half, and the caller then takes back
+    the worker's fidelity chunks, which wait for it (8 bytes per state).
+    The two amplitude buffers share _MC_BATCH, so a chunk is half as large
+    at d = 1024. A run of one seed and more than one chunk has _worker()
+    draw each chunk's normals ahead into a second amplitude buffer, if the
+    two hold at most _MC_BATCH amplitudes (_drawn_ahead). Each stream is
+    read in order, by one thread at a time, so the states do not depend on
+    who draws them, and the worker's share has finished when the generator
+    ends, however it ends."""
+    d = x.dim
+    xt = np.ascontiguousarray(x.matrix.T)
+    worker = 2 * d * min(M, _CHUNK_STATES) >= _WORKER_NORMALS
+    lanes = 1 + (worker and len(seeds) > 1)
+    chunk = max(1, min(_CHUNK_STATES, _MC_BATCH // (lanes * d)))
+    sizes = [min(chunk, M - start) for start in range(0, M, chunk)]
+    ahead = worker and len(seeds) == 1 and len(sizes) > 1 and 2 * d * sizes[0] <= _MC_BATCH
+    z = [np.empty((sizes[0], d), np.complex128) for _ in range(lanes + ahead)]  # amplitudes
+    w = [np.empty((sizes[0], d), np.complex128) for _ in range(lanes)]  # products
+    if ahead:
+        yield from _drawn_ahead(xt, sizes, substream(seeds[0], 0), z, w[0])
+    elif lanes == 1:
+        yield from _lane(xt, sizes, (substream(seed, 0) for seed in seeds), z[0], w[0])
+    else:
+        half = len(seeds) // 2  # the caller also draws every binomial: the worker takes the odd seed
+        later = _lane(xt, sizes, [substream(seed, 0) for seed in seeds[half:]], z[1], w[1])
+        job = _worker().submit(list, later)
+        try:
+            yield from _lane(xt, sizes, (substream(seed, 0) for seed in seeds[:half]), z[0], w[0])
+            yield from job.result()
+        finally:
+            job.exception()  # a reader that stops early still waits out the worker's half
 
 
 def _checked_seeds(M: int, N: int, seeds) -> list[int]:
@@ -194,7 +223,9 @@ def _checked_seeds(M: int, N: int, seeds) -> list[int]:
 
 def _pass_counts(x: UnitaryOperator, M: int, N: int, seeds: list[int]) -> Iterator[list[int]]:
     """Each seed's M pass counts in turn: state i's count is the i-th draw of
-    substream(seed, 1), binomial at its fidelity from _haar_fidelities."""
+    substream(seed, 1), binomial at its fidelity from _haar_fidelities. The
+    binomials are drawn here, on the calling thread, in seed order, those
+    of a split run's later seeds too."""
     fidelities = _haar_fidelities(x, M, seeds)
     for seed in seeds:
         shots = substream(seed, 1)
@@ -214,7 +245,7 @@ def simulate_protocol(x: UnitaryOperator, M: int, N: int, seed: int) -> list[int
     draw. The counts equal those of the sequential two-stream loop (see the
     module docstring). The one-seed case of run_protocols: the caller's
     thread makes the streams and draws the binomials; past the first chunk,
-    a worker may draw the normals (see _haar_fidelities).
+    the worker may draw the normals (see _haar_fidelities).
     """
     return next(_pass_counts(x, M, N, _checked_seeds(M, N, [seed])))
 
@@ -290,10 +321,12 @@ def estimate_moments(counts, N: int, seed: int | None = None) -> EstimationResul
 
 def run_protocols(x: UnitaryOperator, M: int, N: int, seeds) -> list[EstimationResult]:
     """One protocol per seed, in order: simulate_protocol followed by
-    estimate_moments, seed recorded. X^T is taken once for the run, and a
-    worker may draw each chunk's normals while the caller takes the previous
-    chunk's product and binomials, across seeds too (see _haar_fidelities).
-    M, N and every seed are checked before any state is drawn."""
+    estimate_moments, seed recorded. X^T is taken once for the run. Two or
+    more seeds are split between the calling thread, which draws and
+    multiplies the first half, and the worker, which does the rest, unless
+    their chunks are too small to share (see _haar_fidelities); every
+    binomial and estimate is drawn on the caller, in seed order. M, N and
+    every seed are checked before any state is drawn."""
     seeds = _checked_seeds(M, N, seeds)
     counts = _pass_counts(x, M, N, seeds)
     # one seed's counts at a time: none is kept past its estimate

@@ -262,11 +262,12 @@ def build_model_error(model: str, param: float, n: int | None = None) -> Unitary
 
 def model_dimension(model: str, n: int | None = None) -> int:
     """Hilbert-space dimension of a named benchmark model; the one check of
-    the model name and of the qft qubit count (required, in [2, 10])."""
-    if model == "cz":
-        return 4
-    if model == "toffoli":
-        return 8
+    the model name and of the qubit count, which qft requires (in [2, 10])
+    and cz and toffoli, whose qubits are fixed, reject."""
+    if model in ("cz", "toffoli"):
+        if n is not None:
+            raise ValueError(f"the {model} model takes no qubit count, got {n}")
+        return 4 if model == "cz" else 8
     if model == "qft":
         if n is None:
             raise ValueError("the qft model requires a qubit count")

@@ -233,6 +233,23 @@ def test_estimate_seed_beyond_64_bits_is_usage_error(extra, tmp_path, capsys, mo
     assert streams == []
 
 
+@pytest.mark.parametrize("model", ["cz", "toffoli"])
+def test_qubit_count_for_a_fixed_model_is_usage_error(model, tmp_path, capsys):
+    # cz and toffoli have fixed qubits: an --n was read as nothing and every
+    # row said n = 2 or 3 whatever was asked
+    out = tmp_path / "x.csv"
+    commands = (
+        ["sweep", "--min", "0.1", "--max", "0.2", "--steps", "2", "--out", str(out)],
+        ["estimate", "--param", "0.1", "--out", str(out)],
+        ["moments", "--param", "0.1"],
+    )
+    for argv in commands:
+        assert main([*argv, "--model", model, "--n", "7"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"gatecert: error: the {model} model takes no qubit count")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "bounds",
     [

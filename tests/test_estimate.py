@@ -25,7 +25,7 @@ from gatecert import (
 from gatecert import estimate
 from gatecert.estimate import (
     _CHUNK_STATES,
-    _DRAW_AHEAD_NORMALS,
+    _WORKER_NORMALS,
     _MC_BATCH,
     _haar_fidelities,
     _stacked_fidelities,
@@ -34,12 +34,22 @@ from gatecert.estimate import (
 from gatecert.moments import single_fidelity
 
 
-def chunk_states(d):
-    """States in one chunk of the batched simulator at dimension d."""
-    return max(1, min(_CHUNK_STATES, _MC_BATCH // d))
+def chunk_states(d, lanes=1):
+    """States in one chunk of the batched simulator at dimension d, in a run
+    of one lane or of two, a split run's."""
+    return max(1, min(_CHUNK_STATES, _MC_BATCH // (lanes * d)))
 
 
 QFT8_CHUNK = chunk_states(256)
+
+
+def traced_peak(run):
+    """run()'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def sequential_counts(x, n_states, n_shots, seed):
@@ -68,6 +78,18 @@ def qft8_sequential(qft8_across_chunk):
     and 13, in the setting of qft8_across_chunk."""
     x, _ = qft8_across_chunk
     return {seed: sequential_counts(x, QFT8_CHUNK + 1, 1000, seed) for seed in (11, 12, 13)}
+
+
+# a split run at d = 1024 has chunks of half a one-lane chunk's states
+QFT10_LANE_CHUNK = chunk_states(1024, lanes=2)
+
+
+@pytest.fixture(scope="module")
+def qft10_split():
+    """qft n = 10 at seeds 0 and 1, one past a split run's chunk: the run's
+    results and its traced peak."""
+    x = build_model_error("qft", 0.03, 10)
+    return x, *traced_peak(lambda: run_protocols(x, QFT10_LANE_CHUNK + 1, 1000, [0, 1]))
 
 
 def test_sample_haar_state_norm():
@@ -147,7 +169,8 @@ def test_protocol_fidelities_match_single_fidelity():
     # matrix-vector product: agreement to a tolerance set from float64
     x = build_model_error("qft", 0.03, 8)
     states = [sample_haar_state(x.dim, substream(5, i)) for i in range(32)]
-    f = _stacked_fidelities(np.array(states), np.ascontiguousarray(x.matrix.T))
+    z = np.array(states)
+    f = _stacked_fidelities(z, np.ascontiguousarray(x.matrix.T), np.empty_like(z))
     ref = [single_fidelity(x, psi) for psi in states]
     np.testing.assert_allclose(f, ref, rtol=1e-13, atol=0.0)
 
@@ -166,80 +189,108 @@ def test_substream_extension_stability(qft8_across_chunk):
 
 
 def test_run_protocols_match_per_seed_runs(qft8_across_chunk, qft8_sequential, monkeypatch):
-    # one run of three seeds reads, seed by seed, the states and counts of
-    # three one-seed runs and of the sequential loop: around a chunk boundary
-    # at d = 256, and at d = 4 past three chunks, where each buffer takes
-    # several chunks of one seed, drawn ahead or all on the caller
-    seeds, n_shots = tuple(qft8_sequential), 1000
+    # a run of two, three or five seeds reads, seed by seed, the states and
+    # counts of one-seed runs and of the sequential loop, with the first half
+    # of the seeds on the caller and the rest on the worker: around a chunk
+    # boundary at d = 256, in one chunk at d = 8, and at d = 4 past three
+    # chunks, split or all on the caller
+    n_shots = 1000
     x, _ = qft8_across_chunk
-    c = QFT8_CHUNK
+    c, seeds = QFT8_CHUNK, tuple(qft8_sequential)
     for m_states in (c - 1, c, c + 1):
-        got = run_protocols(x, m_states, n_shots, seeds)
-        assert got == [run_protocol(x, m_states, n_shots, seed) for seed in seeds]
         counts = [qft8_sequential[seed][:m_states] for seed in seeds]
-        assert got == [estimate_moments(k, n_shots, seed=seed) for seed, k in zip(seeds, counts)]
-    x = build_cz_error(0.3)
-    m_states = 3 * chunk_states(x.dim) + 1
-    want = [
-        estimate_moments(sequential_counts(x, m_states, n_shots, seed), n_shots, seed=seed)
-        for seed in seeds
-    ]
+        want = [estimate_moments(k, n_shots, seed=seed) for seed, k in zip(seeds, counts)]
+        assert [run_protocol(x, m_states, n_shots, seed) for seed in seeds] == want
+        assert run_protocols(x, m_states, n_shots, seeds) == want
+    assert run_protocols(x, c + 1, n_shots, seeds[:2]) == want[:2]
+    for model, m_states, seeds in (("toffoli", 500, range(1, 6)), ("cz", 3 * chunk_states(4) + 1, (11, 12, 13))):
+        x = build_model_error(model, 0.3)
+        want = [
+            estimate_moments(sequential_counts(x, m_states, n_shots, seed), n_shots, seed=seed)
+            for seed in seeds
+        ]
+        assert run_protocols(x, m_states, n_shots, seeds) == want
+        assert [run_protocol(x, m_states, n_shots, seed) for seed in seeds] == want
+    monkeypatch.setattr(estimate, "_WORKER_NORMALS", _MC_BATCH + 1)
     assert run_protocols(x, m_states, n_shots, seeds) == want
-    assert [run_protocol(x, m_states, n_shots, seed) for seed in seeds] == want
-    monkeypatch.setattr(estimate, "_DRAW_AHEAD_NORMALS", _MC_BATCH + 1)
-    assert run_protocols(x, m_states, n_shots, seeds) == want
+
+
+def test_split_run_matches_past_its_halved_chunk(qft10_split):
+    # at d = 1024 a split run's chunk is half a one-seed run's, so each seed
+    # of the split takes two chunks where a one-seed run takes one
+    x, got, _ = qft10_split
+    m_states, n_shots = QFT10_LANE_CHUNK + 1, 1000
+    assert chunk_states(x.dim) >= m_states
+    assert got == [run_protocol(x, m_states, n_shots, seed) for seed in (0, 1)]
+    # the worker's seed against the sequential loop
+    assert got[1] == estimate_moments(sequential_counts(x, m_states, n_shots, 1), n_shots, seed=1)
 
 
 class _RecordedStream:
-    """A substream that notes the thread of each call it takes."""
+    """A substream that notes its seed and the thread of each call it takes."""
 
-    def __init__(self, rng, calls):
-        self.rng, self.calls = rng, calls
+    def __init__(self, rng, calls, seed=None):
+        self.rng, self.calls, self.seed = rng, calls, seed
 
     def standard_normal(self, *args, **kwargs):
-        self.calls.append(("standard_normal", threading.get_ident()))
+        self.calls.append(("standard_normal", self.seed, threading.get_ident()))
         return self.rng.standard_normal(*args, **kwargs)
 
     def binomial(self, *args, **kwargs):
-        self.calls.append(("binomial", threading.get_ident()))
+        self.calls.append(("binomial", self.seed, threading.get_ident()))
         return self.rng.binomial(*args, **kwargs)
 
 
 def test_run_protocols_keeps_its_calls_on_the_calling_thread(monkeypatch):
-    # the streams, the binomials and the estimates are the caller's; the
-    # worker only draws normals, every chunk's but the first
+    # the streams, the binomials and the estimates are the caller's. A run of
+    # several seeds splits them: the caller draws the first half's normals and
+    # the worker the rest's; a run of one seed draws every chunk but the
+    # first ahead on the worker
     x = build_cz_error(0.3)
-    m_states, seeds = chunk_states(x.dim) + 1, [3, 4]
-    want = run_protocols(x, m_states, 100, seeds)
-    calls = []
+    m_states = chunk_states(x.dim, lanes=2) + 1  # two chunks per seed
     real_substream, real_estimate = estimate.substream, estimate.estimate_moments
-
-    def recorded_substream(seed, index):
-        calls.append(("substream", threading.get_ident()))
-        return _RecordedStream(real_substream(seed, index), calls)
-
-    def recorded_estimate(*args, **kwargs):
-        calls.append(("estimate_moments", threading.get_ident()))
-        return real_estimate(*args, **kwargs)
-
-    monkeypatch.setattr(estimate, "substream", recorded_substream)
-    monkeypatch.setattr(estimate, "estimate_moments", recorded_estimate)
-    assert run_protocols(x, m_states, 100, seeds) == want
     caller = threading.get_ident()
-    normals = [thread for name, thread in calls if name == "standard_normal"]
-    assert len(normals) == 4 and normals[0] == caller
-    assert all(thread != caller for thread in normals[1:])
-    others = [(name, thread) for name, thread in calls if name != "standard_normal"]
-    assert sorted({name for name, _ in others}) == ["binomial", "estimate_moments", "substream"]
-    assert [name for name, _ in others].count("substream") == 2 * len(seeds)
-    assert all(thread == caller for _, thread in others)
+    for seeds in ([3], [3, 4], [3, 4, 5]):
+        want = run_protocols(x, m_states, 100, seeds)
+        calls = []
+
+        def recorded_substream(seed, index):
+            calls.append(("substream", seed, threading.get_ident()))
+            return _RecordedStream(real_substream(seed, index), calls, seed)
+
+        def recorded_estimate(*args, **kwargs):
+            calls.append(("estimate_moments", kwargs["seed"], threading.get_ident()))
+            return real_estimate(*args, **kwargs)
+
+        monkeypatch.setattr(estimate, "substream", recorded_substream)
+        monkeypatch.setattr(estimate, "estimate_moments", recorded_estimate)
+        assert run_protocols(x, m_states, 100, seeds) == want
+        monkeypatch.setattr(estimate, "substream", real_substream)
+        monkeypatch.setattr(estimate, "estimate_moments", real_estimate)
+        others = [(name, thread) for name, _, thread in calls if name != "standard_normal"]
+        assert sorted({name for name, _ in others}) == ["binomial", "estimate_moments", "substream"]
+        assert [name for name, _ in others].count("substream") == 2 * len(seeds)
+        assert all(thread == caller for _, thread in others)
+        normals = {}
+        for name, seed, thread in calls:
+            if name == "standard_normal":
+                normals.setdefault(seed, []).append(thread)
+        assert sorted(normals) == seeds and all(len(t) == 2 for t in normals.values())
+        if len(seeds) == 1:
+            first, later = normals[3]
+            assert first == caller and later != caller
+        else:
+            half = len(seeds) // 2
+            assert all(t == [caller, caller] for seed, t in normals.items() if seed in seeds[:half])
+            on_worker = {t for seed in seeds[half:] for t in normals[seed]}
+            assert len(on_worker) == 1 and caller not in on_worker
 
 
 def test_small_chunks_are_drawn_on_the_calling_thread(monkeypatch):
-    # below _DRAW_AHEAD_NORMALS normals a chunk costs less to draw than to
+    # below _WORKER_NORMALS normals a chunk costs less to draw than to
     # hand over, so a run of such chunks hands none to the worker
     x = build_cz_error(0.3)
-    m_states = _DRAW_AHEAD_NORMALS // (2 * x.dim) - 1
+    m_states = _WORKER_NORMALS // (2 * x.dim) - 1
     calls = []
     real_substream = estimate.substream
 
@@ -252,13 +303,16 @@ def test_small_chunks_are_drawn_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(estimate, "substream", real_substream)
     assert got == [run_protocol(x, m_states, 100, seed) for seed in (3, 4, 5)]
     caller = threading.get_ident()
-    assert [name for name, _ in calls].count("standard_normal") == 3
-    assert all(thread == caller for _, thread in calls)
+    assert [name for name, _, _ in calls].count("standard_normal") == 3
+    assert all(thread == caller for _, _, thread in calls)
     assert threading.active_count() == threads
 
 
-# the fewest cz states (d = 4) per chunk that two seeds draw ahead
-AHEAD_STATES = _DRAW_AHEAD_NORMALS // (2 * 4)
+# the fewest cz states (d = 4) per chunk that the worker takes part in
+WORKER_STATES = _WORKER_NORMALS // (2 * 4)
+# (M, seeds) of cz runs that hand the worker a share: seeds of a split run,
+# and a one-seed run of two chunks, drawn ahead
+WORKER_RUNS = [(WORKER_STATES, [1, 2, 3]), (chunk_states(4) + 1, [1])]
 
 
 def test_a_failed_draw_on_the_worker_reaches_the_caller(monkeypatch):
@@ -271,21 +325,22 @@ def test_a_failed_draw_on_the_worker_reaches_the_caller(monkeypatch):
                 raise RuntimeError("draw failed on the worker")
             return self.rng.standard_normal(*args, **kwargs)
 
-    monkeypatch.setattr(estimate, "substream", lambda *key: Failing(real_substream(*key), []))
     x = build_cz_error(0.3)
-    with pytest.raises(RuntimeError, match="draw failed on the worker"):
-        run_protocols(x, AHEAD_STATES, 100, [1, 2])
-    # the worker survives the failure
-    monkeypatch.setattr(estimate, "substream", real_substream)
-    want = [run_protocol(x, AHEAD_STATES, 100, s) for s in (1, 2)]
-    assert run_protocols(x, AHEAD_STATES, 100, [1, 2]) == want
+    for m_states, seeds in WORKER_RUNS:
+        monkeypatch.setattr(estimate, "substream", lambda *key: Failing(real_substream(*key), []))
+        with pytest.raises(RuntimeError, match="draw failed on the worker"):
+            run_protocols(x, m_states, 100, seeds)
+        # the worker survives the failure
+        monkeypatch.setattr(estimate, "substream", real_substream)
+        want = [run_protocol(x, m_states, 100, s) for s in seeds]
+        assert run_protocols(x, m_states, 100, seeds) == want
 
 
 def test_a_reader_that_stops_early_waits_out_the_draw(monkeypatch):
     # closing the chunk generator after its first chunk returns only once the
-    # worker has finished the second chunk's draw, so no draw outlives a run
+    # worker has finished its share: the second chunk's draw, or the later
+    # seed of a split run, so no work on the worker outlives a run
     caller = threading.get_ident()
-    finished = []
     real_substream = estimate.substream
 
     class Slow(_RecordedStream):
@@ -293,13 +348,16 @@ def test_a_reader_that_stops_early_waits_out_the_draw(monkeypatch):
             if threading.get_ident() != caller:
                 time.sleep(0.05)
             self.rng.standard_normal(*args, **kwargs)
-            finished.append(threading.get_ident())
+            self.calls.append(threading.get_ident())
 
-    monkeypatch.setattr(estimate, "substream", lambda *key: Slow(real_substream(*key), []))
-    fidelities = _haar_fidelities(build_cz_error(0.3), AHEAD_STATES, [1, 2])
-    next(fidelities)
-    fidelities.close()
-    assert len(finished) == 2 and finished[1] != caller
+    x = build_cz_error(0.3)
+    for m_states, seeds in ((WORKER_STATES, [1, 2]), WORKER_RUNS[1]):
+        finished = []
+        monkeypatch.setattr(estimate, "substream", lambda *key: Slow(real_substream(*key), finished))
+        fidelities = _haar_fidelities(x, m_states, seeds)
+        next(fidelities)
+        fidelities.close()
+        assert len(finished) == 2 and finished[1] != caller
 
 
 def test_run_protocols_checks_every_seed_before_drawing(monkeypatch):
@@ -322,14 +380,14 @@ def test_run_protocols_checks_every_seed_before_drawing(monkeypatch):
 
 
 def _child_runs(x, expected):
-    os._exit(0 if run_protocols(x, AHEAD_STATES, 100, [1, 2]) == expected else 1)
+    os._exit(0 if run_protocols(x, WORKER_STATES, 100, [1, 2]) == expected else 1)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_forked_child_starts_its_own_worker():
     # a forked child inherits the parent's executor but not its thread
     x = build_cz_error(0.3)
-    expected = run_protocols(x, AHEAD_STATES, 100, [1, 2])  # the worker is running now
+    expected = run_protocols(x, WORKER_STATES, 100, [1, 2])  # the worker is running now
     child = multiprocessing.get_context("fork").Process(target=_child_runs, args=(x, expected))
     child.start()
     child.join(60)
@@ -340,28 +398,17 @@ def test_forked_child_starts_its_own_worker():
 
 
 @pytest.mark.parametrize("model,n", [("qft", 10), ("qft", 8), ("cz", None)])
-def test_simulate_protocol_memory_is_flat_in_M(model, n):
+def test_simulate_protocol_memory_is_flat_in_M(model, n, request):
     # four chunks peak as high as two: at d = 1024 a chunk is bounded by its
     # amplitudes, at d = 4 by _CHUNK_STATES
-    x = build_model_error(model, 0.03, n)
-    c = chunk_states(x.dim)
-
-    def peak(run):
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    peaks = {m: peak(lambda: simulate_protocol(x, m, 100, 0)) for m in (c, 2 * c, 4 * c)}
-    assert abs(peaks[4 * c] - peaks[2 * c]) < 0.1 * peaks[2 * c]
-    if 2 * x.dim * c <= _MC_BATCH:
-        # nor with the seeds: two seeds of one chunk each hold what one seed
-        # of two chunks holds, the two buffers the draws alternate between
-        two_seeds = peak(lambda: run_protocols(x, c, 100, [0, 1]))
-        assert abs(two_seeds - peaks[2 * c]) < 0.1 * peaks[2 * c]
+    if n == 10:
+        x, _, split_peak = request.getfixturevalue("qft10_split")
     else:
+        x = build_model_error(model, 0.03, n)
+    c, lane = chunk_states(x.dim), chunk_states(x.dim, lanes=2)
+    peaks = {m: traced_peak(lambda: simulate_protocol(x, m, 100, 0))[1] for m in (c, 2 * c, 4 * c)}
+    assert abs(peaks[4 * c] - peaks[2 * c]) < 0.1 * peaks[2 * c]
+    if 2 * x.dim * c > _MC_BATCH:
         # two buffers would hold more than _MC_BATCH amplitudes, so the
         # caller draws every chunk into one: a long run peaks as one chunk
         assert peaks[2 * c] < 2.5 * c * x.dim * 16
@@ -369,6 +416,11 @@ def test_simulate_protocol_memory_is_flat_in_M(model, n):
         # one chunk holds its amplitudes, the product z X^T and X^T itself,
         # no normalized or conjugated copy of the amplitudes
         assert peaks[c] < 2.5 * c * x.dim * 16
+        # nor do the seeds: a split run holds X^T and, in each of its two
+        # lanes, the amplitudes and product of `lane` states
+        if n != 10:
+            split_peak = traced_peak(lambda: run_protocols(x, lane, 100, [0, 1]))[1]
+        assert split_peak < 1.05 * (4 * lane + x.dim) * x.dim * 16
 
 
 def test_simulate_input_validation():

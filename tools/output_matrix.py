@@ -10,12 +10,18 @@ only options that every version of the CLI accepts, with their defaults.
 
 The matrix: `sweep` for cz, toffoli and qft n = 3, 4, 6 on a 40-step log grid
 from 1e-7 to 3, plus qft n = 10 at two points; `moments` text and `--csv`
-output at five points; `estimate --repeats 20` at eight points. Each
-estimate command runs its 20 seeds as one run. At the default 500 states
-its normals are drawn a chunk ahead across seeds; two points add what the
-other five lack, d = 256 (qft n = 8) and chunks within a seed (cz at 10000
-states, three per seed), and cz at 100 states, too few normals per chunk
-to hand to the worker, draws every chunk on the caller into one buffer.
+output at five points; `estimate` at ten points, eight of them with
+`--repeats 20`. Each estimate command runs its seeds as one run, and all
+but one split them: the calling thread draws and multiplies the first
+half of the seeds, the worker thread the rest. At the default 500 states
+every seed is one chunk; two points add d = 256 (qft n = 8) and chunks
+within a seed (cz at 10000 states, three per seed). qft n = 8 at 5000
+states over 3 seeds splits seeds of two chunks unevenly (one on the
+caller, two on the worker), and qft n = 10 at 2100 states over 2 seeds
+takes the split's halved chunk at d = 1024, 2048 states where a one-seed
+run takes 4096. cz at 100 states, too few normals per chunk to hand to
+the worker, draws every chunk on the caller in one lane. No estimate
+point runs one seed, whose chunks the worker draws ahead.
 No CLI output reaches the tightness witness or the (F, D)-only three-point
 search, so one more file, `certify.csv`, holds `certificate_bundle(d, F, D,
 u=1.0)`'s `b_fd`, `c_value` and `flags`, and the diamond distance of
@@ -67,6 +73,8 @@ ESTIMATES = {
     "qft8_0.03": ["--model", "qft", "--n", "8", "--param", "0.03"],
     "cz_0.3_M10000": ["--model", "cz", "--param", "0.3", "--samples", "10000"],
     "cz_0.3_M100": ["--model", "cz", "--param", "0.3", "--samples", "100"],
+    "qft8_0.03_M5000": ["--model", "qft", "--n", "8", "--param", "0.03", "--samples", "5000", "--repeats", "3"],
+    "qft10_0.03_M2100": ["--model", "qft", "--n", "10", "--param", "0.03", "--samples", "2100", "--repeats", "2"],
 }
 
 
@@ -166,7 +174,8 @@ def write_matrix(out: Path) -> list[Path]:
             written.append(path)
     for name, args in ESTIMATES.items():
         path = out / f"estimate_{name}.csv"
-        _run(["estimate", *args, "--repeats", "20", "--out", str(path)])
+        repeats = [] if "--repeats" in args else ["--repeats", "20"]
+        _run(["estimate", *args, *repeats, "--out", str(path)])
         written.append(path)
     path = out / "certify.csv"
     path.write_text(certify_rows(), newline="")
